@@ -6,22 +6,20 @@ betweenness (unnormalized geodesic-fraction sums over unordered pairs, via
 Brandes' dependency accumulation), and PageRank over the bidirectional
 arc interpretation of the undirected graph.
 
-Determinism contract: per-source passes iterate neighbors in canonical
-(lexicographic) order and cross-source reductions run in canonical source
-order, so serial and parallel runs produce bit-identical scores.
+Determinism contract: closeness and betweenness run one serial BFS per
+source over the graph's integer view, whose index order is lexicographic
+order. Neighbours are visited and per-source results are reduced in that
+order, so every run produces bit-identical scores.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
+from ._csvtext import csv_text, format_number
 from .errors import ConfigError, ConvergenceError, DataError
-from .graph import CoauthGraph, shortest_path_lengths
+from .graph import CoauthGraph, _bfs, _int_view
 
 MEASURES = ("degree", "closeness", "betweenness", "pagerank")
 
@@ -54,70 +52,42 @@ def degree_centrality(g: CoauthGraph) -> CentralityVector:
     return CentralityVector("degree", {v: g.degree(v) for v in g.vertices()})
 
 
-def closeness_centrality(g: CoauthGraph, workers: int = 1) -> CentralityVector:
+def closeness_centrality(g: CoauthGraph) -> CentralityVector:
     """Sum over reachable others of 1/distance; unreachable pairs add 0."""
-    vertices = g.vertices()
-
-    def score(v: str) -> float:
-        dist = shortest_path_lengths(g, v)
-        return sum(1.0 / d for _, d in sorted(dist.items()) if d > 0)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(score, vertices))
-    else:
-        values = [score(v) for v in vertices]
-    return CentralityVector("closeness", dict(zip(vertices, values)))
+    names, adj = _int_view(g)
+    values = [sum(1.0 / d for d in _bfs(adj, s)[1] if d > 0) for s in range(len(names))]
+    return CentralityVector("closeness", dict(zip(names, values)))
 
 
-def betweenness_centrality(g: CoauthGraph, workers: int = 1) -> CentralityVector:
+def betweenness_centrality(g: CoauthGraph) -> CentralityVector:
     """Unnormalized shortest-path betweenness over unordered vertex pairs.
 
-    Brandes' one-pass-per-source accumulation; the per-source dependency
-    maps are reduced in canonical source order regardless of worker count.
+    Brandes' one-pass-per-source accumulation: geodesic counts sigma are
+    exact (Python integers) and summed forward in BFS order; dependencies
+    delta are pushed back to the predecessors in reverse BFS order. Each
+    source's dependencies are added to the running totals in source order,
+    so memory stays linear in the graph size.
     """
-    vertices = g.vertices()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda s: _brandes_source(g, s), vertices))
-    else:
-        partials = [_brandes_source(g, s) for s in vertices]
-    totals = {v: 0.0 for v in vertices}
-    for partial in partials:
-        for v in sorted(partial):
-            totals[v] += partial[v]
+    names, adj = _int_view(g)
+    n = len(names)
+    totals = [0.0] * n
+    for s in range(n):
+        order, dist = _bfs(adj, s)
+        sigma = [0] * n
+        sigma[s] = 1
+        for w in order[1:]:
+            up = dist[w] - 1
+            sigma[w] = sum(sigma[v] for v in adj[w] if dist[v] == up)
+        delta = [0.0] * n
+        for w in reversed(order):
+            up, share = dist[w] - 1, 1.0 + delta[w]
+            for v in adj[w]:
+                if dist[v] == up:
+                    delta[v] += sigma[v] / sigma[w] * share
+        for v in order[1:]:
+            totals[v] += delta[v]
     # each unordered pair was seen from both endpoints
-    return CentralityVector("betweenness", {v: totals[v] / 2.0 for v in vertices})
-
-
-def _brandes_source(g: CoauthGraph, s: str) -> dict[str, float]:
-    """Dependency of source s on every other vertex.
-
-    Geodesic counts are exact (Python integers); dependencies accumulate in
-    reverse BFS order.
-    """
-    sigma: dict[str, int] = {s: 1}
-    dist: dict[str, int] = {s: 0}
-    preds: dict[str, list[str]] = {s: []}
-    order: list[str] = []
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in g.neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                sigma[w] = 0
-                preds[w] = []
-                queue.append(w)
-            if dist[w] == dist[v] + 1:
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    delta = {v: 0.0 for v in order}
-    for w in reversed(order):
-        for p in preds[w]:
-            delta[p] += sigma[p] / sigma[w] * (1.0 + delta[w])
-    return {v: delta[v] for v in order if v != s}
+    return CentralityVector("betweenness", {v: t / 2.0 for v, t in zip(names, totals)})
 
 
 def pagerank(
@@ -186,25 +156,13 @@ def ordinal_ranks(scores: Mapping[str, float]) -> dict[str, int]:
     return {key: rank for rank, (key, _) in enumerate(ordered, start=1)}
 
 
-def _format_score(x: float | int) -> str:
-    return format(x, ".17g")
-
-
 def render_vector_csv(cv: CentralityVector) -> str:
     """CSV ``author,measure,score`` with scores at 17 significant digits."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["author", "measure", "score"])
-    for author in sorted(cv.scores):
-        writer.writerow([author, cv.measure, _format_score(cv.scores[author])])
-    return buf.getvalue()
+    rows = ([a, cv.measure, format_number(cv.scores[a])] for a in sorted(cv.scores))
+    return csv_text(["author", "measure", "score"], rows)
 
 
 def render_rank_csv(table: RankTable) -> str:
     """CSV ``rank,author,score`` in table order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rank", "author", "score"])
-    for rank, author, score in table.rows:
-        writer.writerow([rank, author, _format_score(score)])
-    return buf.getvalue()
+    rows = ([rank, author, format_number(score)] for rank, author, score in table.rows)
+    return csv_text(["rank", "author", "score"], rows)

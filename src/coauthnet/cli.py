@@ -98,7 +98,6 @@ class RunConfig:
     max_iter: int = DEFAULT_MAX_ITER
     top_n: int = DEFAULT_TOP_N
     restrict_to_largest: bool = True
-    workers: int = 1
     histogram_bins: int | None = None
     series_path: str | None = None
 
@@ -139,9 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_comma_tokens,
         default=DEFAULT_DOC_TYPES,
         help="comma-separated document types to keep (default: Article,Review)",
-    )
-    common.add_argument(
-        "--workers", type=int, default=1, help="parallel BFS workers (default 1)"
     )
 
     p_stats = sub.add_parser(
@@ -220,7 +216,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         max_iter=getattr(args, "max_iter", DEFAULT_MAX_ITER),
         top_n=getattr(args, "top_n", DEFAULT_TOP_N),
         restrict_to_largest=not getattr(args, "whole_graph", False),
-        workers=args.workers,
         histogram_bins=getattr(args, "histogram_bins", None),
         series_path=getattr(args, "series", None),
     )
@@ -234,8 +229,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"--max-iter must be >= 1, got {cfg.max_iter}")
     if cfg.top_n < 1:
         raise ConfigError(f"--top-n must be >= 1, got {cfg.top_n}")
-    if cfg.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {cfg.workers}")
     if cfg.histogram_bins is not None and cfg.histogram_bins < 1:
         raise ConfigError(f"--histogram-bins must be >= 1, got {cfg.histogram_bins}")
     return cfg
@@ -314,7 +307,7 @@ def _restrict(cfg: RunConfig, g):
 def cmd_stats(cfg: RunConfig) -> None:
     records = _load_corpus(cfg)
     g = build_graph(records)
-    stats = summary_stats(records, g)
+    stats = summary_stats(g)
     outdir = _outdir(cfg)
     _write_atomic(outdir / "summary.csv", render_summary_csv(stats))
     _write_atomic(outdir / "edges.tsv", render_edge_list(g))
@@ -326,8 +319,8 @@ def cmd_stats(cfg: RunConfig) -> None:
 def _all_centralities(cfg: RunConfig, g):
     return (
         degree_centrality(g),
-        closeness_centrality(g, workers=cfg.workers),
-        betweenness_centrality(g, workers=cfg.workers),
+        closeness_centrality(g),
+        betweenness_centrality(g),
         pagerank(g, damping=cfg.damping, tol=cfg.tol, max_iter=cfg.max_iter),
     )
 

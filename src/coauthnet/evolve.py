@@ -8,12 +8,12 @@ and first-time authors per calendar year.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
+from ._csvtext import csv_text, format_number
 from .errors import DataError, ParseError
 from .graph import CoauthGraph, build_graph, largest_component, mean_distance
 from .ingest import BiblioRecord, _lines
@@ -145,12 +145,7 @@ def growth_series(
 
 def render_growth_csv(rows: Iterable[tuple[int, int, int]]) -> str:
     """CSV ``year,papers,authors``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["year", "papers", "authors"])
-    for year, papers, authors in rows:
-        writer.writerow([year, papers, authors])
-    return buf.getvalue()
+    return csv_text(["year", "papers", "authors"], rows)
 
 
 def parse_growth_csv(stream: str | IO[str] | Iterable[str]) -> list[tuple[int, int, int]]:
@@ -174,31 +169,27 @@ def parse_growth_csv(stream: str | IO[str] | Iterable[str]) -> list[tuple[int, i
 
 def render_slice_csv(reports: Iterable[SliceReport]) -> str:
     """CSV with one row per slice report."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
+    header = [
+        "start",
+        "end",
+        "authors",
+        "papers",
+        "mean_collaborators",
+        "largest_size",
+        "largest_ratio",
+        "largest_avg_distance",
+    ]
+    rows = (
         [
-            "start",
-            "end",
-            "authors",
-            "papers",
-            "mean_collaborators",
-            "largest_size",
-            "largest_ratio",
-            "largest_avg_distance",
+            rep.start_year,
+            rep.end_year,
+            rep.authors,
+            rep.papers,
+            format_number(rep.mean_collaborators),
+            rep.largest_size,
+            format_number(rep.largest_ratio),
+            format_number(rep.largest_avg_distance),
         ]
+        for rep in reports
     )
-    for rep in reports:
-        writer.writerow(
-            [
-                rep.start_year,
-                rep.end_year,
-                rep.authors,
-                rep.papers,
-                format(rep.mean_collaborators, ".17g"),
-                rep.largest_size,
-                format(rep.largest_ratio, ".17g"),
-                format(rep.largest_avg_distance, ".17g"),
-            ]
-        )
-    return buf.getvalue()
+    return csv_text(header, rows)

@@ -8,13 +8,12 @@ and repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
+from ._csvtext import csv_text, format_number
 from .errors import DataError
 from .ingest import BiblioRecord, _dedupe
 
@@ -180,19 +179,40 @@ def largest_component(g: CoauthGraph) -> tuple[CoauthGraph, float]:
     return g.induced(keep), len(keep) / len(g)
 
 
+def _int_view(g: CoauthGraph) -> tuple[list[str], list[list[int]]]:
+    """Vertex names in sorted order and, for each index, the sorted indices
+    of its neighbours. Index order is lexicographic order."""
+    names = g.vertices()
+    index = {v: i for i, v in enumerate(names)}
+    return names, [[index[u] for u in g.neighbors(v)] for v in names]
+
+
+def _bfs(adj: list[list[int]], s: int) -> tuple[list[int], list[int]]:
+    """Hop distances from s over an integer adjacency list.
+
+    Returns the vertices in BFS visiting order (s first, neighbours in
+    index order) and the distance of every index, -1 when unreachable.
+    This is the one shortest-path sweep behind every distance measure.
+    """
+    dist = [-1] * len(adj)
+    dist[s] = 0
+    order = [s]
+    for v in order:  # order doubles as the FIFO queue
+        step = dist[v] + 1
+        for u in adj[v]:
+            if dist[u] < 0:
+                dist[u] = step
+                order.append(u)
+    return order, dist
+
+
 def shortest_path_lengths(g: CoauthGraph, source: str) -> dict[str, int]:
     """BFS hop distances from source; unreachable vertices are absent."""
     if source not in g:
         raise DataError(f"unknown source vertex {source!r}")
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
+    names, adj = _int_view(g)
+    order, dist = _bfs(adj, names.index(source))
+    return {names[v]: dist[v] for v in order}
 
 
 def mean_distance(g: CoauthGraph) -> float:
@@ -201,9 +221,9 @@ def mean_distance(g: CoauthGraph) -> float:
     n = len(sub)
     if n < 2:
         raise DataError("mean_distance: largest component has no vertex pair")
-    total = 0
-    for v in sub.vertices():
-        total += sum(shortest_path_lengths(sub, v).values())
+    _, adj = _int_view(sub)
+    # sub is connected, so no distance is -1
+    total = sum(sum(_bfs(adj, s)[1]) for s in range(n))
     pairs = n * (n - 1) // 2
     return (total // 2) / pairs
 
@@ -245,68 +265,55 @@ class SummaryStats:
     clustering_coefficient: float
 
 
-def summary_stats(records: Iterable[BiblioRecord], g: CoauthGraph) -> SummaryStats:
-    """Summary statistics for a graph built from the given records.
+def summary_stats(g: CoauthGraph) -> SummaryStats:
+    """Summary statistics of a graph built from a record set.
 
-    papers_per_author and authors_per_paper both divide the total number of
-    author-paper incidences, by authors and by papers respectively;
-    avg_collaborators is the mean unweighted degree.
+    papers_per_author and authors_per_paper both divide the graph's
+    authorship count (author-paper incidences), by authors and by papers
+    respectively; avg_collaborators is the mean unweighted degree.
     """
-    records = list(records)
-    papers = len(records)
+    papers = g.paper_count
     if papers == 0:
         raise DataError("summary_stats: no papers")
-    authorships = sum(len(_dedupe(r.authors)) for r in records)
     n = len(g)
     if n == 0:
         raise DataError("summary_stats: graph has no vertices")
     degree_sum = sum(g.degree(v) for v in g.vertices())
-    _, ratio = largest_component(g)
     return SummaryStats(
         papers=papers,
         authors=n,
-        papers_per_author=authorships / n,
-        authors_per_paper=authorships / papers,
+        papers_per_author=g.authorship_count / n,
+        authors_per_paper=g.authorship_count / papers,
         avg_collaborators=degree_sum / n,
-        largest_component_ratio=ratio,
+        largest_component_ratio=connected_components(g).sizes[0] / n,
         mean_distance=mean_distance(g),
         clustering_coefficient=clustering_coefficient(g),
     )
 
 
-def _format_number(x: float | int) -> str:
-    return format(x, ".17g")
-
-
 def render_summary_csv(stats: SummaryStats) -> str:
     """One-row CSV with the summary statistics."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "papers",
-            "authors",
-            "papers_per_author",
-            "authors_per_paper",
-            "avg_collaborators",
-            "largest_component_ratio",
-            "mean_distance",
-            "clustering_coefficient",
-        ]
-    )
-    writer.writerow(
-        [
-            stats.papers,
-            stats.authors,
-            _format_number(stats.papers_per_author),
-            _format_number(stats.authors_per_paper),
-            _format_number(stats.avg_collaborators),
-            _format_number(stats.largest_component_ratio),
-            _format_number(stats.mean_distance),
-            _format_number(stats.clustering_coefficient),
-        ]
-    )
-    return buf.getvalue()
+    header = [
+        "papers",
+        "authors",
+        "papers_per_author",
+        "authors_per_paper",
+        "avg_collaborators",
+        "largest_component_ratio",
+        "mean_distance",
+        "clustering_coefficient",
+    ]
+    row = [
+        stats.papers,
+        stats.authors,
+        format_number(stats.papers_per_author),
+        format_number(stats.authors_per_paper),
+        format_number(stats.avg_collaborators),
+        format_number(stats.largest_component_ratio),
+        format_number(stats.mean_distance),
+        format_number(stats.clustering_coefficient),
+    ]
+    return csv_text(header, [row])
 
 
 def render_edge_list(g: CoauthGraph) -> str:

@@ -8,8 +8,6 @@ in log space.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -17,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 from scipy.stats import t as _student_t
 
+from ._csvtext import csv_text, format_number
 from .centrality import CentralityVector, ordinal_ranks
 from .errors import DataError
 from .graph import CoauthGraph
@@ -255,69 +254,50 @@ def ranking_profile(
     return RankingProfile(columns=columns, rows=rows)
 
 
-def _format_number(x: float) -> str:
-    return format(x, ".17g")
-
-
 def render_fit_csv(fits: Iterable[tuple[str, PowerFit]]) -> str:
     """CSV ``series,coefficient,exponent,r_squared,n``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["series", "coefficient", "exponent", "r_squared", "n"])
-    for name, fit in fits:
-        writer.writerow(
-            [
-                name,
-                _format_number(fit.coefficient),
-                _format_number(fit.exponent),
-                _format_number(fit.r_squared),
-                fit.n_points,
-            ]
-        )
-    return buf.getvalue()
+    rows = (
+        [
+            name,
+            format_number(fit.coefficient),
+            format_number(fit.exponent),
+            format_number(fit.r_squared),
+            fit.n_points,
+        ]
+        for name, fit in fits
+    )
+    return csv_text(["series", "coefficient", "exponent", "r_squared", "n"], rows)
 
 
 def render_correlation_csv(report: CorrelationReport) -> str:
     """Square rho matrix with row/column labels."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["series", *report.labels])
-    for label, row in zip(report.labels, report.rho):
-        writer.writerow([label, *(_format_number(x) for x in row)])
-    return buf.getvalue()
+    rows = (
+        [label, *(format_number(x) for x in row)]
+        for label, row in zip(report.labels, report.rho)
+    )
+    return csv_text(["series", *report.labels], rows)
 
 
 def render_significance_csv(report: CorrelationReport) -> str:
     """Square 0/1 matrix flagging p < 0.01, labels matching the rho matrix."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["series", *report.labels])
-    for label, row in zip(report.labels, report.significant_01):
-        writer.writerow([label, *(int(flag) for flag in row)])
-    return buf.getvalue()
+    rows = (
+        [label, *(int(flag) for flag in row)]
+        for label, row in zip(report.labels, report.significant_01)
+    )
+    return csv_text(["series", *report.labels], rows)
 
 
 def render_histogram_csv(hist: Histogram) -> str:
     """CSV ``bin_lo,bin_hi,count``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["bin_lo", "bin_hi", "count"])
-    for i, count in enumerate(hist.counts):
-        writer.writerow(
-            [
-                _format_number(hist.bin_edges[i]),
-                _format_number(hist.bin_edges[i + 1]),
-                count,
-            ]
-        )
-    return buf.getvalue()
+    edges = hist.bin_edges
+    rows = (
+        [format_number(lo), format_number(hi), count]
+        for lo, hi, count in zip(edges, edges[1:], hist.counts)
+    )
+    return csv_text(["bin_lo", "bin_hi", "count"], rows)
 
 
 def render_profile_csv(profile: RankingProfile) -> str:
     """CSV ``author,<measure>_rank,...`` ordered by the baseline column."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["author", *(f"{name}_rank" for name in profile.columns)])
-    for author, ranks in profile.rows:
-        writer.writerow([author, *ranks])
-    return buf.getvalue()
+    rows = ([author, *ranks] for author, ranks in profile.rows)
+    return csv_text(["author", *(f"{name}_rank" for name in profile.columns)], rows)

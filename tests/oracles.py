@@ -40,6 +40,32 @@ def random_graph(rng: Random, min_n: int = 2, max_n: int = 12) -> CoauthGraph:
     return CoauthGraph.from_edges(edges, vertices=verts)
 
 
+def random_coauthor_graph(rng: Random, sizes: tuple[int, ...]) -> CoauthGraph:
+    """Sparse coauthorship-like graph with one connected component per size.
+
+    Each newcomer writes a paper with a degree-weighted pick of earlier
+    authors of its component (sometimes several), and every team becomes a
+    clique. Names are shuffled across components, so the components
+    interleave in key order.
+    """
+    names = [f"A{i:04d}" for i in range(sum(sizes))]
+    rng.shuffle(names)
+    edges = []
+    start = 0
+    for size in sizes:
+        group = names[start : start + size]
+        start += size
+        pool = [group[0]]  # one entry per authorship: preferential attachment
+        for newcomer in group[1:]:
+            team = {newcomer, rng.choice(pool)}
+            while rng.random() < 0.4:
+                team.add(rng.choice(pool))
+            team = sorted(team)  # set order varies with the string hash seed
+            edges.extend(combinations(team, 2))
+            pool.extend(team)
+    return CoauthGraph.from_edges(edges, vertices=names)
+
+
 def random_records(
     rng: Random,
     n_records: int = 30,

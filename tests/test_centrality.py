@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations
 from random import Random
 
@@ -12,6 +13,7 @@ from coauthnet import (
     DataError,
     betweenness_centrality,
     closeness_centrality,
+    connected_components,
     degree_centrality,
     ordinal_ranks,
     pagerank,
@@ -22,6 +24,7 @@ from oracles import (
     betweenness_enumeration_oracle,
     closeness_oracle,
     pagerank_linear_oracle,
+    random_coauthor_graph,
     random_graph,
 )
 
@@ -126,15 +129,6 @@ class TestBetweenness:
             expected = betweenness_enumeration_oracle(g)
             for v in g.vertices():
                 assert scores[v] == pytest.approx(expected[v], abs=1e-9)
-
-    def test_parallel_run_is_bit_identical(self):
-        g = random_graph(Random(99), min_n=10, max_n=12)
-        serial = betweenness_centrality(g, workers=1).scores
-        parallel = betweenness_centrality(g, workers=4).scores
-        assert serial == parallel  # exact float equality
-        assert closeness_centrality(g, workers=1).scores == closeness_centrality(
-            g, workers=4
-        ).scores
 
 
 class TestPageRank:
@@ -249,6 +243,37 @@ class TestRelabelingInvariance:
             renamed = measure(relabeled).scores
             for v in g.vertices():
                 assert renamed[mapping[v]] == pytest.approx(original[v], abs=1e-12)
+
+
+class TestDisjointUnion:
+    def test_union_scores_equal_per_component_scores(self):
+        union = random_coauthor_graph(Random(77), (90, 40, 12, 2, 1))
+        partition = connected_components(union)
+        for measure in (closeness_centrality, betweenness_centrality):
+            scores = measure(union).scores
+            for cid in partition.sizes:
+                members = [v for v, c in partition.assignment.items() if c == cid]
+                alone = measure(union.induced(members)).scores
+                assert alone == {v: scores[v] for v in members}  # exact
+
+
+class TestBetweennessMemory:
+    @staticmethod
+    def traced_peak(g: CoauthGraph) -> int:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            betweenness_centrality(g)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_grows_linearly(self):
+        small = random_coauthor_graph(Random(5), (100,))
+        large = random_coauthor_graph(Random(5), (400,))
+        # 4x the vertices: linear memory gives ~4x, quadratic ~16x
+        assert self.traced_peak(large) / self.traced_peak(small) < 8
 
 
 class TestExports:

@@ -231,7 +231,7 @@ class TestClusteringCoefficient:
 class TestSummaryStats:
     def test_one_two_author_paper(self):
         records = [paper("R1", "A", "B")]
-        stats = summary_stats(records, build_graph(records))
+        stats = summary_stats(build_graph(records))
         assert stats.papers == 1 and stats.authors == 2
         assert stats.papers_per_author == 1.0
         assert stats.authors_per_paper == 2.0
@@ -241,19 +241,19 @@ class TestSummaryStats:
 
     def test_mixed_small_corpus(self):
         records = [paper("R1", "A", "B"), paper("R2", "A")]
-        stats = summary_stats(records, build_graph(records))
+        stats = summary_stats(build_graph(records))
         assert stats.authors_per_paper == 1.5
         assert stats.papers_per_author == 1.5
         assert stats.avg_collaborators == 1.0
 
     def test_zero_papers_rejected(self):
         with pytest.raises(DataError):
-            summary_stats([], CoauthGraph({}))
+            summary_stats(CoauthGraph({}))
 
     def test_matches_independent_tally(self):
         records = random_records(Random(13), n_records=20, n_authors=10)
         g = build_graph(records)
-        stats = summary_stats(records, g)
+        stats = summary_stats(g)
         incidences = sum(len(set(r.authors)) for r in records)
         authors = len({a for r in records for a in r.authors})
         assert stats.papers == 20
