@@ -99,6 +99,7 @@ def slice_report(ts: TimeSlice) -> SliceReport:
     if n == 0:
         raise DataError("slice_report: empty slice")
     degree_sum = sum(g.degree(v) for v in g.vertices())
+    # largest is connected, so mean_distance labels no components again
     largest, ratio = largest_component(g)
     avg_distance = mean_distance(largest) if len(largest) >= 2 else 0.0
     return SliceReport(
@@ -108,7 +109,7 @@ def slice_report(ts: TimeSlice) -> SliceReport:
         papers=ts.records_in_slice,
         mean_collaborators=degree_sum / n,
         largest_size=len(largest),
-        largest_ratio=len(largest) / n,
+        largest_ratio=ratio,
         largest_avg_distance=avg_distance,
     )
 

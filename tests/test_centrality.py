@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 import tracemalloc
 from itertools import combinations
 from random import Random
@@ -15,11 +16,15 @@ from coauthnet import (
     closeness_centrality,
     connected_components,
     degree_centrality,
+    largest_component,
+    mean_distance,
     ordinal_ranks,
     pagerank,
     rank_table,
 )
+from coauthnet import centrality
 from coauthnet.centrality import CentralityVector, render_rank_csv, render_vector_csv
+from coauthnet.graph import _bfs, _int_view
 from oracles import (
     betweenness_enumeration_oracle,
     closeness_oracle,
@@ -274,6 +279,146 @@ class TestBetweennessMemory:
         large = random_coauthor_graph(Random(5), (400,))
         # 4x the vertices: linear memory gives ~4x, quadratic ~16x
         assert self.traced_peak(large) / self.traced_peak(small) < 8
+
+
+def python_closeness(g: CoauthGraph) -> dict[str, float]:
+    """Per-source Python loop over _bfs, summed in index order."""
+    names, adj = _int_view(g)
+    return {
+        v: sum(1.0 / d for d in _bfs(adj, s)[1] if d > 0) for s, v in enumerate(names)
+    }
+
+
+def python_betweenness(g: CoauthGraph) -> dict[str, float]:
+    """Exact-integer Brandes loop per source, reduced in source order."""
+    names, adj = _int_view(g)
+    totals = [0.0] * len(names)
+    for s in range(len(names)):
+        for v, d in enumerate(centrality._source_dependencies(adj, s)):
+            totals[v] += d
+    return {v: t / 2.0 for v, t in zip(names, totals)}
+
+
+def python_mean_distance(g: CoauthGraph) -> float:
+    names, adj = _int_view(largest_component(g)[0])
+    n = len(names)
+    total = sum(sum(_bfs(adj, s)[1]) for s in range(n))
+    return (total // 2) / (n * (n - 1) // 2)
+
+
+def python_pagerank(g: CoauthGraph, damping: float = 0.85, tol: float = 1e-12) -> dict[str, float]:
+    """Power iteration over dicts, neighbours and sums in vertex order."""
+    vertices = g.vertices()
+    n = len(vertices)
+    dangling = [v for v in vertices if g.degree(v) == 0]
+    rank = {v: 1.0 / n for v in vertices}
+    while True:
+        dangling_share = sum(rank[v] for v in dangling) / n
+        nxt = {}
+        for v in vertices:
+            acc = 0.0
+            for u in g.neighbors(v):
+                acc += rank[u] / g.degree(u)
+            nxt[v] = (1.0 - damping) / n + damping * (acc + dangling_share)
+        residual = sum(abs(nxt[v] - rank[v]) for v in vertices)
+        rank = nxt
+        if residual < tol:
+            return rank
+
+
+def diamond_chain(k: int) -> CoauthGraph:
+    """k diamonds in series: 2**k geodesics between the two ends."""
+    edges = []
+    for i in range(k):
+        hub, nxt = f"D{i:03d}", f"D{i + 1:03d}"
+        edges += [(hub, hub + "a"), (hub, hub + "b"), (hub + "a", nxt), (hub + "b", nxt)]
+    return CoauthGraph.from_edges(edges)
+
+
+def bit_identity_graphs() -> list[CoauthGraph]:
+    """41 seeded graphs of 2-500 vertices, connected and disconnected, and
+    the degenerate shapes: no vertex, one vertex, no edge, one edge."""
+    graphs = []
+    for seed in range(40):
+        rng = Random(3000 + seed)
+        if seed % 2:
+            graphs.append(random_graph(rng, min_n=2, max_n=40))
+        else:
+            parts = rng.randint(1, 4)
+            graphs.append(
+                random_coauthor_graph(rng, tuple(rng.randint(1, 500 // parts) for _ in range(parts)))
+            )
+    graphs.append(random_coauthor_graph(Random(3100), (500,)))
+    graphs += [
+        CoauthGraph({}),
+        CoauthGraph({"a": {}}),
+        CoauthGraph.from_edges([], vertices=["a", "b", "c"]),
+        CoauthGraph.from_edges([("a", "b")]),
+    ]
+    return graphs
+
+
+class TestBlockSweepBitIdentity:
+    """The block-vectorized sweep equals the per-source Python loops exactly."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        return bit_identity_graphs()
+
+    def test_closeness(self, graphs):
+        for g in graphs:
+            assert closeness_centrality(g).scores == python_closeness(g)
+
+    def test_betweenness(self, graphs):
+        for g in graphs:
+            assert betweenness_centrality(g).scores == python_betweenness(g)
+
+    def test_mean_distance(self, graphs):
+        for g in graphs:
+            if len(g) and len(largest_component(g)[0]) >= 2:
+                assert mean_distance(g) == python_mean_distance(g)
+
+    def test_pagerank(self, graphs):
+        for g in graphs:
+            if len(g):
+                assert pagerank(g).scores == python_pagerank(g)
+
+    def test_path_counts_beyond_float_precision_use_exact_loop(self, monkeypatch):
+        g = diamond_chain(70)
+        expected = python_betweenness(g)
+        calls = []
+        exact = centrality._source_dependencies
+
+        def counted(adj, s):
+            calls.append(s)
+            return exact(adj, s)
+
+        monkeypatch.setattr(centrality, "_source_dependencies", counted)
+        assert betweenness_centrality(g).scores == expected
+        # only sources near an end see 2**53 or more geodesics to some vertex
+        assert 0 < len(calls) < len(g)
+
+
+class TestSweepScaling:
+    @staticmethod
+    def best_time(fn, g: CoauthGraph) -> float:
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            fn(g)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    @pytest.mark.parametrize(
+        "measure", [closeness_centrality, betweenness_centrality, mean_distance]
+    )
+    def test_path_time_grows_at_most_quadratically(self, measure):
+        def path(n: int) -> CoauthGraph:
+            return CoauthGraph.from_edges([(f"P{i:04d}", f"P{i + 1:04d}") for i in range(n - 1)])
+
+        short, long_ = path(150), path(600)
+        # 4x the vertices: quadratic work gives 16x, cubic 64x
+        assert self.best_time(measure, long_) < 32 * self.best_time(measure, short)
 
 
 class TestExports:

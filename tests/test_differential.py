@@ -1,8 +1,9 @@
-"""Mid-scale differential tier: distance-based measures against networkx.
+"""Mid-scale differential tier: coauthnet's measures against networkx.
 
 Seeded coauthorship-like graphs of a few hundred vertices, one connected
 and one with several components, are scored by coauthnet and by networkx
-as an independent implementation.
+as an independent implementation. The same graphs rebuilt from shuffled
+edges must score bit-identically.
 """
 
 from __future__ import annotations
@@ -11,7 +12,14 @@ from random import Random
 
 import pytest
 
-from coauthnet import betweenness_centrality, closeness_centrality, mean_distance
+from coauthnet import (
+    CoauthGraph,
+    betweenness_centrality,
+    closeness_centrality,
+    clustering_coefficient,
+    mean_distance,
+    pagerank,
+)
 from oracles import random_coauthor_graph
 
 nx = pytest.importorskip("networkx")
@@ -51,3 +59,32 @@ def test_mean_distance_matches_networkx_on_largest_component(pair):
     assert mean_distance(g) == pytest.approx(
         nx.average_shortest_path_length(lcc), rel=1e-12
     )
+
+
+def test_pagerank_matches_networkx(pair):
+    g, h = pair
+    # networkx stops once the L1 change is below len(h) * tol
+    expected = nx.pagerank(h, alpha=0.85, tol=1e-14 / len(h), max_iter=1000)
+    assert pagerank(g).scores == pytest.approx(expected, rel=1e-10)
+
+
+def test_clustering_matches_networkx_over_degree_two_vertices(pair):
+    g, h = pair
+    local = nx.clustering(h)
+    eligible = [local[v] for v in h if h.degree(v) >= 2]
+    assert clustering_coefficient(g) == pytest.approx(sum(eligible) / len(eligible), rel=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_edge_order_does_not_change_any_score(name):
+    g = GRAPHS[name]
+    rng = Random(4242)
+    edges = [(b, a, w) if rng.random() < 0.5 else (a, b, w) for a, b, w in g.edges()]
+    rng.shuffle(edges)
+    vertices = g.vertices()
+    rng.shuffle(vertices)
+    rebuilt = CoauthGraph.from_edges(edges, vertices=vertices)
+    for measure in (closeness_centrality, betweenness_centrality, pagerank):
+        assert list(measure(rebuilt).scores.items()) == list(measure(g).scores.items())
+    assert mean_distance(rebuilt) == mean_distance(g)
+    assert clustering_coefficient(rebuilt) == clustering_coefficient(g)
