@@ -6,15 +6,9 @@ betweenness (unnormalized geodesic-fraction sums over unordered pairs, via
 Brandes' dependency accumulation), and PageRank over the bidirectional
 arc interpretation of the undirected graph.
 
-Determinism contract: closeness and betweenness run the block-vectorized
-BFS sweep of ``graph._sweep`` over the graph's CSR view, whose index order is
-lexicographic order, and perform every floating-point addition in the order
-of a per-source Python loop: closeness sums each row with ``np.cumsum``
-(left to right), betweenness pushes dependencies back with ``np.add.at``
-(repeated indices applied in the order given) and adds each source's row to
-the totals in source order, and a source whose path counts reach 2**53 is
-recomputed by that loop on exact integers. PageRank's CSR product sums each
-row in index order. So every run produces the same bits as the loops.
+Closeness, betweenness and PageRank run in the private ``_numeric`` module,
+imported on their first call, which alone loads numpy and scipy; its sums
+add in the order of per-vertex Python loops, so the scores are their bits.
 """
 
 from __future__ import annotations
@@ -22,12 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-from scipy.sparse import csr_matrix
-
 from ._csvtext import csv_text, format_number
-from .errors import ConfigError, ConvergenceError, DataError
-from .graph import CoauthGraph, _bfs, _csr_view, _int_view, _sweep
+from .errors import ConfigError, DataError
+from .graph import CoauthGraph, _bfs
 
 MEASURES = ("degree", "closeness", "betweenness", "pagerank")
 
@@ -62,18 +53,9 @@ def degree_centrality(g: CoauthGraph) -> CentralityVector:
 
 def closeness_centrality(g: CoauthGraph) -> CentralityVector:
     """Sum over reachable others of 1/distance; unreachable pairs add 0."""
-    names, a = _csr_view(g)
-    values: list[float] = []
-    for _, dist, _ in _sweep(a):
-        inv = np.divide(1.0, dist, out=np.zeros(dist.shape), where=dist > 0)
-        # cumsum adds each row left to right, the order of a Python sum
-        values.extend(np.cumsum(inv, axis=1)[:, -1].tolist())
-    return CentralityVector("closeness", dict(zip(names, values)))
-
-
-# Below 2**53 float64 holds every path count exactly, so float sums and
-# quotients of path counts equal the Python-integer ones.
-_EXACT_SIGMA = 2.0**53
+    from . import _numeric
+    names, a = _numeric.csr_view(g)
+    return CentralityVector("closeness", dict(zip(names, _numeric.closeness_sums(a))))
 
 
 def _source_dependencies(adj: list[list[int]], s: int) -> list[float]:
@@ -102,46 +84,6 @@ def _source_dependencies(adj: list[list[int]], s: int) -> list[float]:
     return delta
 
 
-def _block_dependencies(
-    a: csr_matrix, sources: np.ndarray, dist: np.ndarray, pos: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dependencies of every vertex on each source of one sweep block, and
-    for each source whether a path count reached 2**53.
-
-    The shortest-path DAG arcs (w, v), dist[v] == dist[w] - 1, are sorted
-    by level of w descending, then source, then w's BFS position
-    descending. Sums run one level at a time through np.add.at, which
-    applies repeated indices in the order given, so every delta receives
-    the additions of _source_dependencies in its order. The arcs of one w
-    reach distinct v, so their relative order changes no delta, and sigma
-    sums are exact in any order.
-    """
-    k, n = dist.shape
-    arc_w = np.repeat(np.arange(n), np.diff(a.indptr))
-    dw = dist[:, arc_w]
-    b, arc = np.nonzero((dw > 0) & (dist[:, a.indices] == dw - 1))
-    level = dw[b, arc]
-    del dw
-    w = arc_w[arc]
-    key = ((level.max(initial=0) - level) * k + b) * n + (n - 1) - pos[b, w]
-    rank = np.argsort(key)
-    # flat indices b * n + vertex into the block's k x n arrays
-    fw, fv, level = (b * n + w)[rank], (b * n + a.indices[arc])[rank], level[rank]
-    cuts = [0, *(np.flatnonzero(np.diff(level)) + 1).tolist(), len(level)]
-    levels = list(zip(cuts, cuts[1:]))  # deepest level first
-    sigma = np.zeros(k * n)
-    sigma[np.arange(k) * n + sources] = 1.0
-    for lo, hi in reversed(levels):
-        np.add.at(sigma, fw[lo:hi], sigma[fv[lo:hi]])
-    delta = np.zeros(k * n)
-    for lo, hi in levels:
-        v, w = fv[lo:hi], fw[lo:hi]
-        np.add.at(delta, v, sigma[v] / sigma[w] * (1.0 + delta[w]))
-    delta = delta.reshape(k, n)
-    delta[np.arange(k), sources] = 0.0
-    return delta, sigma.reshape(k, n).max(axis=1) >= _EXACT_SIGMA
-
-
 def betweenness_centrality(g: CoauthGraph) -> CentralityVector:
     """Unnormalized shortest-path betweenness over unordered vertex pairs.
 
@@ -150,19 +92,10 @@ def betweenness_centrality(g: CoauthGraph) -> CentralityVector:
     stays linear in the graph size and the scores equal the per-source
     Python loop's (_source_dependencies) bit for bit.
     """
-    names, a = _csr_view(g)
-    totals = np.zeros(len(names))
-    adj = None
-    for sources, dist, pos in _sweep(a):
-        delta, inexact = _block_dependencies(a, sources, dist, pos)
-        for s, row, redo in zip(sources.tolist(), delta, inexact.tolist()):
-            if redo:
-                if adj is None:
-                    adj = _int_view(g)[1]
-                row = _source_dependencies(adj, s)
-            totals += row
-    # each unordered pair was seen from both endpoints
-    return CentralityVector("betweenness", dict(zip(names, (totals / 2.0).tolist())))
+    from . import _numeric
+    names, a = _numeric.csr_view(g)
+    totals = _numeric.betweenness_sums(g, a, _source_dependencies)
+    return CentralityVector("betweenness", dict(zip(names, totals)))
 
 
 def pagerank(
@@ -185,30 +118,12 @@ def pagerank(
         raise ConfigError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
-    names, a = _csr_view(g)
-    n = len(names)
-    if n == 0:
+    from . import _numeric
+    names, a = _numeric.csr_view(g)
+    if not names:
         raise DataError("pagerank: graph has no vertices")
-    degree = np.diff(a.indptr)
-    dangling = degree == 0
-    spread = np.maximum(degree, 1)  # a dangling vertex's share is never read
-    base = (1.0 - damping) / n
-    rank = np.full(n, 1.0 / n)
-    residual = 0.0
-    for _ in range(max_iter):
-        # Python sums over lists keep the vertex-order summation sequence;
-        # the CSR product sums each row's neighbours in index order.
-        dangling_share = sum(rank[dangling].tolist()) / n
-        nxt = base + damping * (a @ (rank / spread) + dangling_share)
-        residual = sum(np.abs(nxt - rank).tolist())
-        rank = nxt
-        if residual < tol:
-            return CentralityVector("pagerank", dict(zip(names, rank.tolist())))
-    raise ConvergenceError(
-        f"pagerank did not converge to tol={tol:g} within {max_iter} iterations "
-        f"(L1 residual {residual:.3e})",
-        residual=residual,
-    )
+    rank = _numeric.pagerank_power(a, damping, tol, max_iter)
+    return CentralityVector("pagerank", dict(zip(names, rank)))
 
 
 def rank_table(cv: CentralityVector, top_n: int) -> RankTable:

@@ -10,12 +10,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping
-
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
 from ._csvtext import csv_text, format_number
 from .errors import DataError
@@ -210,58 +206,6 @@ def _bfs(adj: list[list[int]], s: int) -> tuple[list[int], list[int]]:
     return order, dist
 
 
-def _csr_view(g: CoauthGraph) -> tuple[list[str], csr_matrix]:
-    """Vertex names in sorted order and the 0/1 adjacency matrix in CSR
-    form. Rows and columns follow index order, which is lexicographic
-    order, and every row's column indices are sorted."""
-    names, adj = _int_view(g)
-    n = len(names)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum([len(nbrs) for nbrs in adj], out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(adj), dtype=np.int32, count=int(indptr[-1]))
-    return names, csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
-
-
-# Sources per sweep block. Each block holds a few _BLOCK x (n + 2m) arrays, so
-# a larger block trades peak memory for fewer numpy calls.
-_BLOCK = 16
-
-
-def _sweep(a: csr_matrix) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Breadth-first search from every vertex of a CSR view, one block of
-    _BLOCK sources at a time, in source order.
-
-    Yields (sources, dist, pos) per block. dist[b, v] is the hop distance
-    from sources[b] to v, -1 when unreachable; pos[b, v] is v's place in
-    that search's visiting order, -1 when unreachable. With sorted CSR rows
-    scipy visits the vertices in exactly _bfs's order.
-    """
-    n = a.shape[0]
-    for start in range(0, n, _BLOCK):
-        sources = np.arange(start, min(start + _BLOCK, n))
-        pred = np.empty((len(sources), n), dtype=np.int32)
-        pos = np.full((len(sources), n), -1, dtype=np.int32)
-        for b, s in enumerate(sources):
-            order, pred[b] = breadth_first_order(a, s, directed=True)
-            pos[b, order] = np.arange(len(order), dtype=np.int32)
-        # Depths by pointer jumping: dist[v] counts the hops from v up to
-        # anc[v] (-1 once the jumps reach the source), and each round
-        # doubles the hops a pointer spans.
-        reached = pred >= 0
-        row_base = np.arange(len(sources))[:, None] * n
-        anc = np.where(reached, pred + row_base, -1).ravel()
-        dist = reached.astype(np.int32).ravel()
-        live = np.flatnonzero(anc >= 0)
-        while live.size:
-            up = anc[live]
-            dist[live] += dist[up]
-            anc[live] = anc[up]
-            live = live[anc[live] >= 0]
-        dist = dist.reshape(pos.shape)
-        dist[pos < 0] = -1
-        yield sources, dist, pos
-
-
 def shortest_path_lengths(g: CoauthGraph, source: str) -> dict[str, int]:
     """BFS hop distances from source; unreachable vertices are absent."""
     if source not in g:
@@ -277,16 +221,15 @@ def mean_distance(g: CoauthGraph) -> float:
     A connected graph is its own largest component: one search from vertex
     0 settles that, and only a disconnected graph is labeled and copied.
     """
-    names, a = _csr_view(g)
-    if not names or len(breadth_first_order(a, 0, return_predecessors=False)) < len(names):
-        names, a = _csr_view(largest_component(g)[0])
+    from . import _numeric
+    names, a = _numeric.csr_view(g)
+    if not names or not _numeric.connected(a):
+        names, a = _numeric.csr_view(largest_component(g)[0])
     n = len(names)
     if n < 2:
         raise DataError("mean_distance: largest component has no vertex pair")
-    # the component is connected, so no distance is -1
-    total = sum(int(dist.sum(dtype=np.int64)) for _, dist, _ in _sweep(a))
     pairs = n * (n - 1) // 2
-    return (total // 2) / pairs
+    return (_numeric.distance_sum(a) // 2) / pairs
 
 
 def clustering_coefficient(g: CoauthGraph) -> float:

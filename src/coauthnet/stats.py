@@ -4,6 +4,9 @@ rank correlation, histograms, and ranking profiles.
 The power fit is ordinary least squares of ln(y) on ln(x), which mirrors
 spreadsheet "power trendline" behavior; its R-squared is therefore reported
 in log space.
+
+Spearman's p-value is 2 * scipy.special.stdtr(n - 2, -|t|), the t tail that
+scipy.stats.t.sf evaluates, imported on first call; nothing else loads scipy.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
-
-from scipy.stats import t as _student_t
 
 from ._csvtext import csv_text, format_number
 from .centrality import CentralityVector, ordinal_ranks
@@ -164,8 +165,9 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
         return 1.0, 0.0
     if rho <= -1.0:
         return -1.0, 0.0
+    from scipy.special import stdtr
     t_stat = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p_value = 2.0 * float(_student_t.sf(abs(t_stat), n - 2))
+    p_value = 2.0 * float(stdtr(n - 2, -abs(t_stat)))
     return rho, p_value
 
 

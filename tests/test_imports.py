@@ -1,0 +1,69 @@
+"""Which numeric modules the package and each command load.
+
+Every check runs in a fresh interpreter, so modules imported by other tests
+do not count, and compares module names only, never timings.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = Path(__file__).parent / "data"
+FIXTURE = str(DATA / "fixture_corpus.tsv")
+MERGE_MAP = str(DATA / "merge_map.csv")
+
+
+def numeric_modules_after(code: str) -> set[str]:
+    """Names of the numpy/scipy modules loaded after running code."""
+    probe = (
+        f"{code}\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def after_command(tmp_path: Path, *argv: str) -> set[str]:
+    args = [*argv, "--input", FIXTURE, "--merge-map", MERGE_MAP, "--output-dir", str(tmp_path)]
+    return numeric_modules_after(
+        f"from coauthnet.cli import main\nassert main({args!r}) == 0"
+    )
+
+
+@pytest.mark.parametrize("module", ["coauthnet", "coauthnet.cli"])
+def test_import_loads_no_numeric_module(module):
+    assert numeric_modules_after(f"import {module}") == set()
+
+
+def test_fit_loads_no_numeric_module(tmp_path):
+    assert after_command(tmp_path, "fit") == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stats",),
+        ("evolve", "--start-year", "1988", "--slices", "1992,1997,2002,2007"),
+        ("centrality",),
+    ],
+)
+def test_graph_commands_load_csgraph_but_not_the_t_tail(tmp_path, argv):
+    loaded = after_command(tmp_path, *argv)
+    assert {"numpy", "scipy.sparse.csgraph"} <= loaded
+    assert "scipy.stats" not in loaded
+
+
+def test_correlate_takes_the_t_tail_from_scipy_special(tmp_path):
+    loaded = after_command(tmp_path, "correlate")
+    assert {"numpy", "scipy.sparse.csgraph", "scipy.special"} <= loaded
+    assert "scipy.stats" not in loaded

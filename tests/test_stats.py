@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
+from scipy.stats import t as student_t
 
 from coauthnet import (
     CoauthGraph,
@@ -19,6 +20,7 @@ from coauthnet import (
     ranking_profile,
     spearman,
 )
+from coauthnet import stats
 from coauthnet.centrality import CentralityVector, ordinal_ranks, rank_table
 from coauthnet.stats import (
     render_correlation_csv,
@@ -169,6 +171,24 @@ class TestSpearman:
         assert spearman(xs, ys)[0] == pytest.approx(spearman(ys, xs)[0], abs=1e-15)
         assert abs(spearman(xs, ys)[0]) <= 1.0
         assert spearman(xs, xs) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 10, 30, 100, 1000, 20_000])
+    def test_p_value_is_scipy_t_tail_exactly(self, monkeypatch, n):
+        """The stdtr tail equals 2 * scipy.stats.t.sf(|t|, n - 2) bit for bit."""
+        rhos = [1.0, -1.0]
+        for t_target in (1e-8, 1e-4, 0.01, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 40.0):
+            rho = t_target / math.sqrt(n - 2 + t_target * t_target)
+            rhos += [rho, -rho]
+        xs = list(range(n))
+        for rho in rhos:
+            monkeypatch.setattr(stats, "_pearson", lambda a, b, rho=rho: rho)
+            got_rho, p = spearman(xs, xs)
+            assert got_rho == rho
+            if abs(rho) == 1.0:
+                assert p == 0.0
+                continue
+            t_stat = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+            assert p == 2.0 * float(student_t.sf(abs(t_stat), n - 2))
 
 
 class TestCorrelationMatrix:
