@@ -13,14 +13,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import ConvergenceError
-from .graph import CoauthGraph, _int_view
+from .graph import CoauthGraph
 
 
 def csr_view(g: CoauthGraph) -> tuple[list[str], csr_matrix]:
-    """Vertex names in sorted order and the 0/1 adjacency matrix in CSR
-    form. Rows and columns follow index order, which is lexicographic
+    """The graph's vertex names and its 0/1 adjacency matrix in CSR form.
+    Rows and columns follow the graph's index order, which is lexicographic
     order, and every row's column indices are sorted."""
-    names, adj = _int_view(g)
+    names, adj = g._names, g._adj
     n = len(names)
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum([len(nbrs) for nbrs in adj], out=indptr[1:])
@@ -132,15 +132,13 @@ def block_dependencies(
 
 def betweenness_sums(g: CoauthGraph, a: csr_matrix, exact: Callable) -> list[float]:
     """Dependencies summed in source order and halved; a source whose path
-    counts reach 2**53 takes them from exact(adj, source) on g's int view."""
+    counts reach 2**53 takes them from exact(g._adj, source)."""
     totals = np.zeros(a.shape[0])
-    adj = None
     for sources, dist, pos in sweep(a):
         delta, inexact = block_dependencies(a, sources, dist, pos)
         for s, row, redo in zip(sources.tolist(), delta, inexact.tolist()):
             if redo:
-                adj = adj or _int_view(g)[1]
-                row = exact(adj, s)
+                row = exact(g._adj, s)
             totals += row
     # each unordered pair was seen from both endpoints
     return (totals / 2.0).tolist()

@@ -58,7 +58,7 @@ def closeness_centrality(g: CoauthGraph) -> CentralityVector:
     return CentralityVector("closeness", dict(zip(names, _numeric.closeness_sums(a))))
 
 
-def _source_dependencies(adj: list[list[int]], s: int) -> list[float]:
+def _source_dependencies(adj: list[dict[int, int]], s: int) -> list[float]:
     """Brandes' dependency of every vertex on source s (0.0 for s itself).
 
     Geodesic counts sigma are exact Python integers, summed forward in BFS

@@ -98,7 +98,6 @@ def slice_report(ts: TimeSlice) -> SliceReport:
     n = len(g)
     if n == 0:
         raise DataError("slice_report: empty slice")
-    degree_sum = sum(g.degree(v) for v in g.vertices())
     # largest is connected, so mean_distance labels no components again
     largest, ratio = largest_component(g)
     avg_distance = mean_distance(largest) if len(largest) >= 2 else 0.0
@@ -107,7 +106,7 @@ def slice_report(ts: TimeSlice) -> SliceReport:
         end_year=ts.end_year,
         authors=n,
         papers=ts.records_in_slice,
-        mean_collaborators=degree_sum / n,
+        mean_collaborators=2 * g.edge_count() / n,
         largest_size=len(largest),
         largest_ratio=ratio,
         largest_avg_distance=avg_distance,

@@ -8,7 +8,6 @@ and repeated runs are byte-identical.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
@@ -21,13 +20,21 @@ from .ingest import BiblioRecord, _dedupe
 class CoauthGraph:
     """Undirected simple graph over canonical author keys.
 
-    Adjacency is frozen in sorted order at construction time: ``vertices()``
-    and ``neighbors()`` always return lexicographically ordered lists.
+    The graph stores one integer-indexed form, which every kernel reads:
+    ``_names`` holds the vertex names in sorted order, ``_index`` maps each
+    name to its position there, and ``_adj[i]`` maps each neighbour index of
+    vertex i to the edge weight, in ascending index order. Index order is
+    lexicographic order, decided once here, so ``vertices()`` and
+    ``neighbors()`` always return lexicographically ordered lists.
     ``paper_count`` and ``authorship_count`` describe the record set a graph
     was built from; derived subgraphs reset them to 0.
+
+    Raises DataError unless the mapping is a symmetric simple graph: every
+    neighbour is a vertex, no vertex is its own neighbour, and both
+    directions of an edge carry the same positive weight.
     """
 
-    __slots__ = ("_adj", "paper_count", "authorship_count")
+    __slots__ = ("_names", "_index", "_adj", "paper_count", "authorship_count")
 
     def __init__(
         self,
@@ -35,12 +42,34 @@ class CoauthGraph:
         paper_count: int = 0,
         authorship_count: int = 0,
     ):
-        self._adj: dict[str, dict[str, int]] = {
-            v: dict(sorted(adjacency[v].items())) for v in sorted(adjacency)
-        }
-        for v, nbrs in self._adj.items():
-            if v in nbrs:
+        names = sorted(adjacency)
+        index = {v: i for i, v in enumerate(names)}
+        # Arc v -> u is stored at adj[index[u]][index[v]], so rows fill in
+        # ascending index order without a sort; for a symmetric mapping this
+        # transpose is the adjacency. An arc to a smaller index is checked
+        # against its stored reverse, and the count of those shows that no
+        # arc to a larger index lacks one.
+        adj: list[dict[int, int]] = [{} for _ in names]
+        backward = 0
+        for v, i in index.items():  # one int object per index, shared by all rows
+            row = adj[i]
+            try:
+                for u, w in adjacency[v].items():
+                    j = index[u]
+                    if j < i:
+                        if row.get(j) != w or not w > 0:
+                            raise DataError(f"edge {u!r}-{v!r} needs the same positive weight "
+                                            f"both ways, got {row.get(j)!r} and {w!r}")
+                        backward += 1
+                    adj[j][i] = w
+            except KeyError as exc:
+                raise DataError(f"neighbour {exc.args[0]!r} of {v!r} is not a vertex") from None
+            if i in row:
                 raise DataError(f"self-loop on vertex {v!r}")
+        if 2 * backward != sum(map(len, adj)):
+            a, b = next((i, j) for i, nbrs in enumerate(adj) for j in nbrs if i not in adj[j])
+            raise DataError(f"edge {names[b]!r}-{names[a]!r} has no reverse direction")
+        self._names, self._index, self._adj = names, index, adj
         self.paper_count = paper_count
         self.authorship_count = authorship_count
 
@@ -56,8 +85,6 @@ class CoauthGraph:
         for edge in edges:
             a, b = edge[0], edge[1]
             w = edge[2] if len(edge) == 3 else 1
-            if a == b:
-                raise DataError(f"self-loop on vertex {a!r}")
             adj.setdefault(a, {})
             adj.setdefault(b, {})
             adj[a][b] = adj[a].get(b, 0) + w
@@ -65,46 +92,54 @@ class CoauthGraph:
         return cls(adj)
 
     def __len__(self) -> int:
-        return len(self._adj)
+        return len(self._names)
 
     def __contains__(self, vertex: str) -> bool:
-        return vertex in self._adj
+        return vertex in self._index
 
     def vertices(self) -> list[str]:
-        return list(self._adj)
+        return list(self._names)
 
     def neighbors(self, vertex: str) -> list[str]:
-        return list(self._adj[vertex])
+        return [self._names[j] for j in self._adj[self._index[vertex]]]
 
     def degree(self, vertex: str) -> int:
-        return len(self._adj[vertex])
+        return len(self._adj[self._index[vertex]])
 
     def weight(self, a: str, b: str) -> int:
         """Edge weight between a and b, 0 when not adjacent."""
-        return self._adj.get(a, {}).get(b, 0)
+        i = self._index.get(a)
+        return 0 if i is None else self._adj[i].get(self._index.get(b), 0)
 
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        return sum(map(len, self._adj)) // 2
 
     def edges(self) -> Iterator[tuple[str, str, int]]:
         """Yield (a, b, weight) with a < b, in sorted order."""
-        for a, nbrs in self._adj.items():
-            for b, w in nbrs.items():
-                if a < b:
-                    yield a, b, w
+        names = self._names
+        for i, nbrs in enumerate(self._adj):
+            for j, w in nbrs.items():
+                if j > i:
+                    yield names[i], names[j], w
 
     def induced(self, keep: Iterable[str]) -> "CoauthGraph":
         """Vertex-induced subgraph. Paper counters are not carried over."""
         kept = set(keep)
-        unknown = kept - self._adj.keys()
+        unknown = kept.difference(self._index)
         if unknown:
             raise DataError(f"unknown vertices in induced(): {sorted(unknown)[:3]}")
-        adj = {
-            v: {u: w for u, w in self._adj[v].items() if u in kept}
-            for v in self._adj
-            if v in kept
-        }
-        return CoauthGraph(adj)
+        old = [i for i, v in enumerate(self._names) if v in kept]
+        sub = object.__new__(CoauthGraph)
+        sub._names = [self._names[i] for i in old]
+        sub._index = dict(zip(sub._names, range(len(old))))
+        new = [-1] * len(self._names)  # old index -> new (sub._index's ints), -1 when dropped
+        for i, k in zip(old, sub._index.values()):
+            new[i] = k
+        adj = self._adj
+        # new increases with the old index, so every row stays ascending
+        sub._adj = [{new[j]: w for j, w in adj[i].items() if new[j] >= 0} for i in old]
+        sub.paper_count = sub.authorship_count = 0
+        return sub
 
 
 def build_graph(records: Iterable[BiblioRecord]) -> CoauthGraph:
@@ -143,30 +178,29 @@ class ComponentPartition:
 
 
 def connected_components(g: CoauthGraph) -> ComponentPartition:
-    """Label connected components by flood fill over sorted vertices."""
-    members: list[list[str]] = []
-    seen: set[str] = set()
-    for start in g.vertices():
-        if start in seen:
+    """Label connected components by flood fill in index order."""
+    names, adj = g._names, g._adj
+    seen = bytearray(len(names))
+    members: list[list[int]] = []
+    for start in range(len(names)):
+        if seen[start]:
             continue
-        seen.add(start)
-        component = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in g.neighbors(v):
-                if u not in seen:
-                    seen.add(u)
-                    component.append(u)
-                    queue.append(u)
-        members.append(component)
-    members.sort(key=lambda group: (-len(group), min(group)))
+        seen[start] = 1
+        group = [start]
+        for v in group:  # group doubles as the FIFO queue
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = 1
+                    group.append(u)
+        members.append(group)
+    # a group's first member is its smallest index, hence its smallest key
+    members.sort(key=lambda group: (-len(group), group[0]))
     assignment: dict[str, int] = {}
     sizes: dict[int, int] = {}
     for cid, group in enumerate(members):
         sizes[cid] = len(group)
         for v in group:
-            assignment[v] = cid
+            assignment[names[v]] = cid
     return ComponentPartition(assignment=assignment, sizes=sizes)
 
 
@@ -179,16 +213,8 @@ def largest_component(g: CoauthGraph) -> tuple[CoauthGraph, float]:
     return g.induced(keep), len(keep) / len(g)
 
 
-def _int_view(g: CoauthGraph) -> tuple[list[str], list[list[int]]]:
-    """Vertex names in sorted order and, for each index, the sorted indices
-    of its neighbours. Index order is lexicographic order."""
-    names = g.vertices()
-    index = {v: i for i, v in enumerate(names)}
-    return names, [[index[u] for u in g.neighbors(v)] for v in names]
-
-
-def _bfs(adj: list[list[int]], s: int) -> tuple[list[int], list[int]]:
-    """Hop distances from s over an integer adjacency list.
+def _bfs(adj: list[dict[int, int]], s: int) -> tuple[list[int], list[int]]:
+    """Hop distances from s over a graph's integer adjacency (``g._adj``).
 
     Returns the vertices in BFS visiting order (s first, neighbours in
     index order) and the distance of every index, -1 when unreachable.
@@ -210,9 +236,8 @@ def shortest_path_lengths(g: CoauthGraph, source: str) -> dict[str, int]:
     """BFS hop distances from source; unreachable vertices are absent."""
     if source not in g:
         raise DataError(f"unknown source vertex {source!r}")
-    names, adj = _int_view(g)
-    order, dist = _bfs(adj, names.index(source))
-    return {names[v]: dist[v] for v in order}
+    order, dist = _bfs(g._adj, g._index[source])
+    return {g._names[v]: dist[v] for v in order}
 
 
 def mean_distance(g: CoauthGraph) -> float:
@@ -238,18 +263,15 @@ def clustering_coefficient(g: CoauthGraph) -> float:
     Local coefficient of a vertex is the fraction of its neighbor pairs
     that are themselves adjacent.
     """
+    adj = g._adj
     locals_: list[float] = []
-    for v in g.vertices():
-        nbrs = g.neighbors(v)
+    for nbrs in adj:
         k = len(nbrs)
         if k < 2:
             continue
-        closed = 0
-        for i in range(k):
-            for j in range(i + 1, k):
-                if g.weight(nbrs[i], nbrs[j]) > 0:
-                    closed += 1
-        locals_.append(2 * closed / (k * (k - 1)))
+        # each adjacent pair of neighbours is counted from both of its ends
+        closed = sum(len(nbrs.keys() & adj[j].keys()) for j in nbrs)
+        locals_.append(closed / (k * (k - 1)))
     if not locals_:
         return 0.0
     return sum(locals_) / len(locals_)
@@ -282,14 +304,13 @@ def summary_stats(g: CoauthGraph) -> SummaryStats:
     n = len(g)
     if n == 0:
         raise DataError("summary_stats: graph has no vertices")
-    degree_sum = sum(g.degree(v) for v in g.vertices())
     largest, ratio = largest_component(g)
     return SummaryStats(
         papers=papers,
         authors=n,
         papers_per_author=g.authorship_count / n,
         authors_per_paper=g.authorship_count / papers,
-        avg_collaborators=degree_sum / n,
+        avg_collaborators=2 * g.edge_count() / n,
         largest_component_ratio=ratio,
         mean_distance=mean_distance(largest),
         clustering_coefficient=clustering_coefficient(g),

@@ -24,7 +24,7 @@ from coauthnet import (
 )
 from coauthnet import centrality
 from coauthnet.centrality import CentralityVector, render_rank_csv, render_vector_csv
-from coauthnet.graph import _bfs, _int_view
+from coauthnet.graph import _bfs
 from oracles import (
     betweenness_enumeration_oracle,
     closeness_oracle,
@@ -283,7 +283,7 @@ class TestBetweennessMemory:
 
 def python_closeness(g: CoauthGraph) -> dict[str, float]:
     """Per-source Python loop over _bfs, summed in index order."""
-    names, adj = _int_view(g)
+    names, adj = g._names, g._adj
     return {
         v: sum(1.0 / d for d in _bfs(adj, s)[1] if d > 0) for s, v in enumerate(names)
     }
@@ -291,7 +291,7 @@ def python_closeness(g: CoauthGraph) -> dict[str, float]:
 
 def python_betweenness(g: CoauthGraph) -> dict[str, float]:
     """Exact-integer Brandes loop per source, reduced in source order."""
-    names, adj = _int_view(g)
+    names, adj = g._names, g._adj
     totals = [0.0] * len(names)
     for s in range(len(names)):
         for v, d in enumerate(centrality._source_dependencies(adj, s)):
@@ -300,7 +300,8 @@ def python_betweenness(g: CoauthGraph) -> dict[str, float]:
 
 
 def python_mean_distance(g: CoauthGraph) -> float:
-    names, adj = _int_view(largest_component(g)[0])
+    lcc = largest_component(g)[0]
+    names, adj = lcc._names, lcc._adj
     n = len(names)
     total = sum(sum(_bfs(adj, s)[1]) for s in range(n))
     return (total // 2) / (n * (n - 1) // 2)
@@ -419,6 +420,25 @@ class TestSweepScaling:
         short, long_ = path(150), path(600)
         # 4x the vertices: quadratic work gives 16x, cubic 64x
         assert self.best_time(measure, long_) < 32 * self.best_time(measure, short)
+
+    def test_build_and_components_time_grows_linearly(self):
+        def mapping(n: int) -> dict[str, dict[str, int]]:
+            """A path through every fourth vertex; the others are isolated."""
+            names = [f"V{i:05d}" for i in range(n)]
+            adj: dict[str, dict[str, int]] = {v: {} for v in names}
+            for a, b in zip(names[::4], names[4::4]):
+                adj[a][b] = adj[b][a] = 1
+            return adj
+
+        def build_and_label(adj: dict[str, dict[str, int]]) -> None:
+            g = CoauthGraph(adj)
+            connected_components(g)
+            largest_component(g)
+
+        small, large = mapping(3000), mapping(12000)
+        # 4x the vertices: linear work gives 4x, work per vertex or per
+        # component that walks all n vertices gives 16x
+        assert self.best_time(build_and_label, large) < 8 * self.best_time(build_and_label, small)
 
 
 class TestExports:

@@ -266,6 +266,26 @@ class TestCorrelateCommand:
         assert "spearman needs n >= 3" in caplog.text
 
 
+    def test_zero_rank_variance_exits_2_and_writes_nothing(self, tmp_path, caplog):
+        # the largest component is a 4-clique from one paper: its authors
+        # share their citations and their score under every measure
+        corpus = tmp_path / "clique.tsv"
+        corpus.write_text(
+            "UT\tAU\tPY\tDT\tTC\tSO\n"
+            "W1\tAAA, A; BBB, B; CCC, C; DDD, D\t1990\tArticle\t5\tJ\n"
+            "W2\tEEE, E\t1991\tArticle\t3\tJ\n"
+            "W3\tFFF, F\t1992\tArticle\t1\tJ\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR):
+            code = run("correlate", "--input", str(corpus), "--output-dir", str(out))
+        assert code == 2
+        assert ("pair (citations, closeness): correlation undefined: "
+                "a series has zero rank variance") in caplog.text
+        assert not out.exists()
+
+
 class TestFitCommand:
     def test_golden_bytes(self, tmp_path):
         out = tmp_path / "out"

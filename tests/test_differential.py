@@ -1,9 +1,10 @@
 """Mid-scale differential tier: coauthnet's measures against networkx.
 
 Seeded coauthorship-like graphs of a few hundred vertices, one connected
-and one with several components, are scored by coauthnet and by networkx
-as an independent implementation. The same graphs rebuilt from shuffled
-edges must score bit-identically.
+and one with several components, are scored and split into components by
+coauthnet and by networkx as an independent implementation. The same graphs
+rebuilt from shuffled edges must score bit-identically, and induced
+subgraphs must equal the graphs built from the filtered adjacency.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from coauthnet import (
     betweenness_centrality,
     closeness_centrality,
     clustering_coefficient,
+    connected_components,
     mean_distance,
     pagerank,
 )
@@ -30,13 +32,17 @@ GRAPHS = {
 }
 
 
-@pytest.fixture(scope="module", params=sorted(GRAPHS))
-def pair(request):
-    g = GRAPHS[request.param]
+def to_networkx(g: CoauthGraph):
     h = nx.Graph()
     h.add_nodes_from(g.vertices())
     h.add_edges_from((a, b) for a, b, _ in g.edges())
-    return g, h
+    return h
+
+
+@pytest.fixture(scope="module", params=sorted(GRAPHS))
+def pair(request):
+    g = GRAPHS[request.param]
+    return g, to_networkx(g)
 
 
 def test_closeness_matches_harmonic_centrality(pair):
@@ -88,3 +94,42 @@ def test_edge_order_does_not_change_any_score(name):
         assert list(measure(rebuilt).scores.items()) == list(measure(g).scores.items())
     assert mean_distance(rebuilt) == mean_distance(g)
     assert clustering_coefficient(rebuilt) == clustering_coefficient(g)
+
+
+@pytest.mark.parametrize("sizes", [None, (40, 40, 7, 7, 7, 1, 1)], ids=["components", "size-ties"])
+def test_components_match_networkx(sizes):
+    g = GRAPHS["components"] if sizes is None else random_coauthor_graph(Random(2012), sizes)
+    parts = connected_components(g)
+    groups: dict[int, set[str]] = {}
+    for v, cid in parts.assignment.items():
+        groups.setdefault(cid, set()).add(v)
+    assert sorted(groups) == list(range(len(groups)))
+    assert parts.sizes == {cid: len(members) for cid, members in groups.items()}
+    assert set(map(frozenset, groups.values())) == set(
+        map(frozenset, nx.connected_components(to_networkx(g)))
+    )
+    # sizes descending, ties broken by smallest key
+    order = [(-len(groups[cid]), min(groups[cid])) for cid in sorted(groups)]
+    assert order == sorted(order)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_induced_equals_graph_of_filtered_mapping(seed):
+    rng = Random(7000 + seed)
+    g = random_coauthor_graph(rng, (rng.randint(1, 300), rng.randint(1, 60), 2, 1))
+    share = (0.0, 0.1, 0.5, 0.9, 1.0)[seed % 5]
+    keep = {v for v in g.vertices() if rng.random() < share}
+    sub = g.induced(keep)
+    expected = CoauthGraph(
+        {v: {u: g.weight(v, u) for u in g.neighbors(v) if u in keep} for v in keep}
+    )
+    assert sub.vertices() == expected.vertices()
+    assert [sub.neighbors(v) for v in keep] == [expected.neighbors(v) for v in keep]
+    assert [sub.weight(a, b) for a in keep for b in keep] == [
+        expected.weight(a, b) for a in keep for b in keep
+    ]
+    assert list(sub.edges()) == list(expected.edges())
+    # the stored form itself, order included
+    assert list(sub._index.items()) == list(expected._index.items())
+    assert [list(row.items()) for row in sub._adj] == [list(row.items()) for row in expected._adj]
+    assert (sub.paper_count, sub.authorship_count) == (0, 0)

@@ -89,6 +89,27 @@ class TestBuildGraph:
         with pytest.raises(DataError):
             CoauthGraph.from_edges([("A", "A")])
 
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            {"a": {"b": 1}},  # neighbour that is not a vertex
+            {"a": {"b": 1}, "b": {}},  # one-way arc to a larger key
+            {"a": {}, "b": {"a": 1}},  # one-way arc to a smaller key
+            {"a": {"b": 1, "c": 1}, "b": {"a": 1}, "c": {}},  # one of several
+            {"a": {"b": 1}, "b": {"a": 2}},  # weight depends on direction
+            {"a": {"b": 0}, "b": {"a": 0}},
+            {"a": {"b": -1}, "b": {"a": -1}},
+        ],
+    )
+    def test_malformed_mapping_rejected(self, mapping):
+        with pytest.raises(DataError):
+            CoauthGraph(mapping)
+
+    @pytest.mark.parametrize("weight", [0, -2])
+    def test_non_positive_edge_weight_rejected(self, weight):
+        with pytest.raises(DataError):
+            CoauthGraph.from_edges([("a", "b", weight)])
+
     def test_induced_unknown_vertex_rejected(self):
         with pytest.raises(DataError):
             path_graph(3).induced({"nope"})
