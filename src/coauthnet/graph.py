@@ -25,7 +25,9 @@ class CoauthGraph:
     name to its position there, and ``_adj[i]`` maps each neighbour index of
     vertex i to the edge weight, in ascending index order. Index order is
     lexicographic order, decided once here, so ``vertices()`` and
-    ``neighbors()`` always return lexicographically ordered lists.
+    ``neighbors()`` always return lexicographically ordered lists. ``_fill``
+    alone stores this form, for every graph (constructed, built from records
+    or induced): each row ascending, each row key one of ``_index``'s ints.
     ``paper_count`` and ``authorship_count`` describe the record set a graph
     was built from; derived subgraphs reset them to 0.
 
@@ -44,34 +46,34 @@ class CoauthGraph:
     ):
         names = sorted(adjacency)
         index = {v: i for i, v in enumerate(names)}
-        # Arc v -> u is stored at adj[index[u]][index[v]], so rows fill in
-        # ascending index order without a sort; for a symmetric mapping this
-        # transpose is the adjacency. An arc to a smaller index is checked
-        # against its stored reverse, and the count of those shows that no
-        # arc to a larger index lacks one.
-        adj: list[dict[int, int]] = [{} for _ in names]
-        backward = 0
-        for v, i in index.items():  # one int object per index, shared by all rows
-            row = adj[i]
+        rows: list[dict[int, int]] = []
+        for v in names:
             try:
-                for u, w in adjacency[v].items():
-                    j = index[u]
-                    if j < i:
-                        if row.get(j) != w or not w > 0:
-                            raise DataError(f"edge {u!r}-{v!r} needs the same positive weight "
-                                            f"both ways, got {row.get(j)!r} and {w!r}")
-                        backward += 1
-                    adj[j][i] = w
+                rows.append({index[u]: w for u, w in adjacency[v].items()})
             except KeyError as exc:
                 raise DataError(f"neighbour {exc.args[0]!r} of {v!r} is not a vertex") from None
-            if i in row:
-                raise DataError(f"self-loop on vertex {v!r}")
-        if 2 * backward != sum(map(len, adj)):
-            a, b = next((i, j) for i, nbrs in enumerate(adj) for j in nbrs if i not in adj[j])
-            raise DataError(f"edge {names[b]!r}-{names[a]!r} has no reverse direction")
+        for i, row in enumerate(rows):
+            for j, w in row.items():
+                if i == j or rows[j].get(i) != w or not w > 0:
+                    raise DataError(f"edge {names[i]!r}-{names[j]!r} needs distinct ends and one "
+                                    f"positive weight both ways, got {w!r} and {rows[j].get(i)!r}")
+        self._fill(names, index, rows, paper_count, authorship_count)
+
+    def _fill(self, names: list[str], index: dict[str, int], rows: list[dict[int, int]],
+              paper_count: int = 0, authorship_count: int = 0) -> "CoauthGraph":
+        """Store sorted names, their index and symmetric rows keyed by index.
+
+        Arc i -> j lands at ``_adj[j][i]``: read in index order, each row fills
+        ascending without a sort. Each input row is dropped once read.
+        """
+        adj: list[dict[int, int]] = [{} for _ in names]
+        for i in index.values():  # one int object per index, shared by all rows
+            row, rows[i] = rows[i], None
+            for j, w in row.items():
+                adj[j][i] = w
         self._names, self._index, self._adj = names, index, adj
-        self.paper_count = paper_count
-        self.authorship_count = authorship_count
+        self.paper_count, self.authorship_count = paper_count, authorship_count
+        return self
 
     @classmethod
     def from_edges(
@@ -128,18 +130,15 @@ class CoauthGraph:
         unknown = kept.difference(self._index)
         if unknown:
             raise DataError(f"unknown vertices in induced(): {sorted(unknown)[:3]}")
-        old = [i for i, v in enumerate(self._names) if v in kept]
-        sub = object.__new__(CoauthGraph)
-        sub._names = [self._names[i] for i in old]
-        sub._index = dict(zip(sub._names, range(len(old))))
-        new = [-1] * len(self._names)  # old index -> new (sub._index's ints), -1 when dropped
-        for i, k in zip(old, sub._index.values()):
-            new[i] = k
-        adj = self._adj
-        # new increases with the old index, so every row stays ascending
-        sub._adj = [{new[j]: w for j, w in adj[i].items() if new[j] >= 0} for i in old]
-        sub.paper_count = sub.authorship_count = 0
-        return sub
+        return self._induced(sorted(self._index[v] for v in kept))
+
+    def _induced(self, old: list[int]) -> "CoauthGraph":
+        """Subgraph on the ascending vertex indices ``old``."""
+        names = [self._names[i] for i in old]
+        index = {v: i for i, v in enumerate(names)}
+        new = dict(zip(old, index.values()))  # old index -> new, as the index's ints
+        rows = [{new[j]: w for j, w in self._adj[i].items() if j in new} for i in old]
+        return CoauthGraph.__new__(CoauthGraph)._fill(names, index, rows)
 
 
 def build_graph(records: Iterable[BiblioRecord]) -> CoauthGraph:
@@ -150,19 +149,16 @@ def build_graph(records: Iterable[BiblioRecord]) -> CoauthGraph:
     expected normalized and merged; repeated keys within one record are
     collapsed defensively so no self-loop can arise.
     """
-    adj: dict[str, dict[str, int]] = {}
-    papers = 0
-    authorships = 0
-    for rec in records:
-        papers += 1
-        authors = _dedupe(rec.authors)
-        authorships += len(authors)
-        for author in authors:
-            adj.setdefault(author, {})
-        for a, b in combinations(authors, 2):
-            adj[a][b] = adj[a].get(b, 0) + 1
-            adj[b][a] = adj[b].get(a, 0) + 1
-    return CoauthGraph(adj, paper_count=papers, authorship_count=authorships)
+    teams = [_dedupe(rec.authors) for rec in records]
+    names = sorted({v for team in teams for v in team})
+    index = {v: i for i, v in enumerate(names)}
+    rows: list[dict[int, int]] = [{} for _ in names]
+    for team in teams:
+        for a, b in combinations([index[v] for v in team], 2):
+            rows[a][b] = rows[a].get(b, 0) + 1
+            rows[b][a] = rows[b].get(a, 0) + 1
+    g = CoauthGraph.__new__(CoauthGraph)
+    return g._fill(names, index, rows, len(teams), sum(map(len, teams)))
 
 
 @dataclass(frozen=True)
@@ -177,12 +173,12 @@ class ComponentPartition:
     sizes: dict[int, int]
 
 
-def connected_components(g: CoauthGraph) -> ComponentPartition:
-    """Label connected components by flood fill in index order."""
-    names, adj = g._names, g._adj
-    seen = bytearray(len(names))
+def _component_groups(g: CoauthGraph) -> list[list[int]]:
+    """Components as index groups by flood fill: largest first, ties by smallest index."""
+    adj = g._adj
+    seen = bytearray(len(adj))
     members: list[list[int]] = []
-    for start in range(len(names)):
+    for start in range(len(adj)):
         if seen[start]:
             continue
         seen[start] = 1
@@ -195,22 +191,24 @@ def connected_components(g: CoauthGraph) -> ComponentPartition:
         members.append(group)
     # a group's first member is its smallest index, hence its smallest key
     members.sort(key=lambda group: (-len(group), group[0]))
-    assignment: dict[str, int] = {}
-    sizes: dict[int, int] = {}
-    for cid, group in enumerate(members):
-        sizes[cid] = len(group)
-        for v in group:
-            assignment[names[v]] = cid
-    return ComponentPartition(assignment=assignment, sizes=sizes)
+    return members
+
+
+def connected_components(g: CoauthGraph) -> ComponentPartition:
+    """Label connected components by flood fill in index order."""
+    names, groups = g._names, _component_groups(g)
+    return ComponentPartition(
+        assignment={names[v]: cid for cid, group in enumerate(groups) for v in group},
+        sizes={cid: len(group) for cid, group in enumerate(groups)},
+    )
 
 
 def largest_component(g: CoauthGraph) -> tuple[CoauthGraph, float]:
     """Induced subgraph of the largest component and its vertex-count ratio."""
     if len(g) == 0:
         raise DataError("largest_component: graph has no vertices")
-    partition = connected_components(g)
-    keep = [v for v, cid in partition.assignment.items() if cid == 0]
-    return g.induced(keep), len(keep) / len(g)
+    group = _component_groups(g)[0]
+    return g._induced(sorted(group)), len(group) / len(g)
 
 
 def _bfs(adj: list[dict[int, int]], s: int) -> tuple[list[int], list[int]]:

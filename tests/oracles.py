@@ -105,6 +105,13 @@ def pair_cooccurrence(records) -> dict[tuple[str, str], int]:
     return dict(counts)
 
 
+def stored_form(g: CoauthGraph) -> tuple:
+    """A graph's stored form, order included: index items, each adjacency
+    row's items and the two record counters."""
+    return (list(g._index.items()), [list(row.items()) for row in g._adj],
+            g.paper_count, g.authorship_count)
+
+
 def citation_scan(records) -> dict[str, int]:
     """Exhaustive per-author scan over the full record list."""
     totals: dict[str, int] = {}

@@ -2,17 +2,20 @@ from __future__ import annotations
 
 import time
 import tracemalloc
+from functools import partial
 from itertools import combinations
 from random import Random
 
 import pytest
 
 from coauthnet import (
+    BiblioRecord,
     CoauthGraph,
     ConfigError,
     ConvergenceError,
     DataError,
     betweenness_centrality,
+    build_graph,
     closeness_centrality,
     connected_components,
     degree_centrality,
@@ -430,15 +433,25 @@ class TestSweepScaling:
                 adj[a][b] = adj[b][a] = 1
             return adj
 
-        def build_and_label(adj: dict[str, dict[str, int]]) -> None:
-            g = CoauthGraph(adj)
+        def records(n: int) -> list[BiblioRecord]:
+            """One single-author paper per author, plus a chain of two-author
+            papers through every fourth author."""
+            names = [f"V{i:05d}" for i in range(n)]
+            teams = [(v,) for v in names] + list(zip(names[::4], names[4::4]))
+            return [BiblioRecord(f"R{i}", team, 2000, "Article", 0, "J")
+                    for i, team in enumerate(teams)]
+
+        def build_and_label(build, data) -> None:
+            g = build(data)
             connected_components(g)
             largest_component(g)
 
-        small, large = mapping(3000), mapping(12000)
-        # 4x the vertices: linear work gives 4x, work per vertex or per
-        # component that walks all n vertices gives 16x
-        assert self.best_time(build_and_label, large) < 8 * self.best_time(build_and_label, small)
+        for build, inputs in ((CoauthGraph, mapping), (build_graph, records)):
+            step = partial(build_and_label, build)
+            small, large = inputs(3000), inputs(12000)
+            # 4x the vertices: linear work gives 4x, work per vertex or per
+            # component that walks all n vertices gives 16x
+            assert self.best_time(step, large) < 8 * self.best_time(step, small), build.__name__
 
 
 class TestExports:

@@ -19,10 +19,11 @@ from coauthnet import (
     closeness_centrality,
     clustering_coefficient,
     connected_components,
+    largest_component,
     mean_distance,
     pagerank,
 )
-from oracles import random_coauthor_graph
+from oracles import random_coauthor_graph, stored_form
 
 nx = pytest.importorskip("networkx")
 
@@ -113,6 +114,14 @@ def test_components_match_networkx(sizes):
     assert order == sorted(order)
 
 
+def test_largest_component_equals_induced_largest_group():
+    g = random_coauthor_graph(Random(2012), (40, 40, 7, 7, 7, 1, 1))  # the size-ties graph
+    largest = [v for v, cid in connected_components(g).assignment.items() if cid == 0]
+    lcc, ratio = largest_component(g)
+    assert stored_form(lcc) == stored_form(g.induced(largest))
+    assert ratio == 40 / len(g)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_induced_equals_graph_of_filtered_mapping(seed):
     rng = Random(7000 + seed)
@@ -130,6 +139,5 @@ def test_induced_equals_graph_of_filtered_mapping(seed):
     ]
     assert list(sub.edges()) == list(expected.edges())
     # the stored form itself, order included
-    assert list(sub._index.items()) == list(expected._index.items())
-    assert [list(row.items()) for row in sub._adj] == [list(row.items()) for row in expected._adj]
+    assert stored_form(sub) == stored_form(expected)
     assert (sub.paper_count, sub.authorship_count) == (0, 0)

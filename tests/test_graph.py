@@ -28,6 +28,7 @@ from oracles import (
     pair_cooccurrence,
     random_graph,
     random_records,
+    stored_form,
 )
 
 
@@ -85,29 +86,42 @@ class TestBuildGraph:
         assert a.vertices() == b.vertices()
         assert list(a.edges()) == list(b.edges())
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stored_form_equals_constructor_on_pair_counts(self, seed):
+        rng = Random(500 + seed)
+        records = random_records(rng, n_records=rng.randint(1, 60), n_authors=rng.randint(1, 20))
+        records += [paper("RDUP", "AUTH00, X", "DUP, Y", "AUTH00, X"), paper("RSOLO", "SOLO, Z")]
+        mapping: dict[str, dict[str, int]] = {v: {} for r in records for v in r.authors}
+        for (a, b), w in pair_cooccurrence(records).items():
+            mapping[a][b] = mapping[b][a] = w
+        expected = CoauthGraph(mapping, paper_count=len(records),
+                               authorship_count=sum(len(set(r.authors)) for r in records))
+        assert stored_form(build_graph(records)) == stored_form(expected)
+
     def test_self_loop_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="edge 'A'-'A'"):
             CoauthGraph.from_edges([("A", "A")])
 
     @pytest.mark.parametrize(
-        "mapping",
+        "mapping, match",
         [
-            {"a": {"b": 1}},  # neighbour that is not a vertex
-            {"a": {"b": 1}, "b": {}},  # one-way arc to a larger key
-            {"a": {}, "b": {"a": 1}},  # one-way arc to a smaller key
-            {"a": {"b": 1, "c": 1}, "b": {"a": 1}, "c": {}},  # one of several
-            {"a": {"b": 1}, "b": {"a": 2}},  # weight depends on direction
-            {"a": {"b": 0}, "b": {"a": 0}},
-            {"a": {"b": -1}, "b": {"a": -1}},
+            ({"a": {"b": 1}}, "neighbour 'b' of 'a'"),  # neighbour that is not a vertex
+            ({"a": {"b": 1}, "b": {}}, "edge 'a'-'b'"),  # one-way arc to a larger key
+            ({"a": {}, "b": {"a": 1}}, "edge 'b'-'a'"),  # one-way arc to a smaller key
+            ({"a": {"b": 1, "c": 1}, "b": {"a": 1}, "c": {}}, "edge 'a'-'c'"),  # one of several
+            ({"a": {"b": 1}, "b": {"a": 2}}, "edge 'a'-'b'"),  # weight depends on direction
+            ({"a": {"b": 0}, "b": {"a": 0}}, "edge 'a'-'b'"),
+            ({"a": {"b": -1}, "b": {"a": -1}}, "edge 'a'-'b'"),
         ],
+        ids=[f"mapping{i}" for i in range(7)],
     )
-    def test_malformed_mapping_rejected(self, mapping):
-        with pytest.raises(DataError):
+    def test_malformed_mapping_rejected(self, mapping, match):
+        with pytest.raises(DataError, match=match):
             CoauthGraph(mapping)
 
     @pytest.mark.parametrize("weight", [0, -2])
     def test_non_positive_edge_weight_rejected(self, weight):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="edge 'a'-'b'"):
             CoauthGraph.from_edges([("a", "b", weight)])
 
     def test_induced_unknown_vertex_rejected(self):
