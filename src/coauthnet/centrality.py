@@ -114,7 +114,7 @@ def pagerank(
     """
     if not 0.0 < damping < 1.0:
         raise ConfigError(f"damping must lie in (0, 1), got {damping}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")

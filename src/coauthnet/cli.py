@@ -2,11 +2,16 @@
 
 Subcommands wire the pipeline ingest -> graph -> centrality -> evolve ->
 stats into deterministic file outputs: identical inputs and flags produce
-byte-identical files. Every run writes a ``run.json`` manifest with the
-resolved configuration.
+byte-identical files. A command computes all of its outputs before any file
+is written; ``main`` then writes each one atomically and, last, a
+``run.json`` manifest with the resolved configuration. ``--whole-graph``
+(``centrality``, ``correlate``, ``fit``) computes on the whole graph instead
+of its largest component.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 convergence error.
+Exit codes: 0 success, 1 usage or configuration error (a ``--tol`` that is
+not a positive number, NaN included, or a merge map that is not UTF-8),
+2 data error (an input or series file that is not UTF-8), 3 convergence
+error.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import logging
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .centrality import (
@@ -32,7 +37,7 @@ from .centrality import (
     render_rank_csv,
     render_vector_csv,
 )
-from .errors import CoauthNetError, ConfigError, ConvergenceError, DataError
+from .errors import CoauthNetError, ConfigError, ConvergenceError, DataError, ParseError
 from .evolve import (
     cumulative_slices,
     growth_series,
@@ -84,11 +89,12 @@ DEFAULT_TOP_N = 30
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration, serialized into the run.json manifest."""
+    """Resolved run configuration, serialized into the run.json manifest.
+    Each field is the ``dest`` of the flag that sets it."""
 
     command: str
-    input_path: str | None
     output_dir: str
+    input_path: str | None = None
     merge_map_path: str | None = None
     doc_types: tuple[str, ...] = DEFAULT_DOC_TYPES
     start_year: int | None = None
@@ -104,7 +110,11 @@ class RunConfig:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; remap onto ConfigError
-    so usage problems surface as exit code 1."""
+    so usage problems surface as exit code 1. A flag left out sets no
+    attribute, so its RunConfig default applies."""
+
+    def __init__(self, **kwargs):
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)
@@ -130,15 +140,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = _Parser(add_help=False)
-    common.add_argument("--input", help="tab-delimited bibliography export")
+    common.add_argument("--input", dest="input_path", metavar="INPUT",
+                        help="tab-delimited bibliography export")
     common.add_argument("--output-dir", required=True, help="directory for result files")
-    common.add_argument("--merge-map", help="CSV of variant,canonical author names")
+    common.add_argument("--merge-map", dest="merge_map_path", metavar="MERGE_MAP",
+                        help="CSV of variant,canonical author names")
     common.add_argument(
         "--doc-types",
         type=_comma_tokens,
-        default=DEFAULT_DOC_TYPES,
         help="comma-separated document types to keep (default: Article,Review)",
     )
+
+    solver = _Parser(add_help=False)
+    solver.add_argument("--damping", type=float)
+    solver.add_argument("--tol", type=float)
+    solver.add_argument("--max-iter", type=int)
+
+    whole_graph = _Parser(add_help=False)
+    whole_graph.add_argument(
+        "--whole-graph",
+        dest="restrict_to_largest",
+        action="store_false",
+        help="compute on the whole graph instead of the largest component",
+    )
+
+    start_year = _Parser(add_help=False)
+    start_year.add_argument("--start-year", type=int)
 
     p_stats = sub.add_parser(
         "stats", parents=[common], help="summary statistics and graph export"
@@ -146,84 +173,63 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(handler=cmd_stats)
 
     p_cent = sub.add_parser(
-        "centrality", parents=[common], help="centrality vectors and top-N tables"
+        "centrality",
+        parents=[common, solver, whole_graph],
+        help="centrality vectors and top-N tables",
     )
-    p_cent.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
-    p_cent.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_cent.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p_cent.add_argument("--top-n", type=int, default=DEFAULT_TOP_N)
-    p_cent.add_argument(
-        "--whole-graph",
-        action="store_true",
-        help="compute on the whole graph instead of the largest component",
-    )
+    p_cent.add_argument("--top-n", type=int)
     p_cent.add_argument(
         "--histogram-bins",
         type=int,
-        default=None,
         help="also write a score histogram per measure with this many bins",
     )
     p_cent.set_defaults(handler=cmd_centrality)
 
     p_evolve = sub.add_parser(
-        "evolve", parents=[common], help="growth series and cumulative slice reports"
+        "evolve",
+        parents=[common, start_year],
+        help="growth series and cumulative slice reports",
     )
-    p_evolve.add_argument("--start-year", type=int, default=None)
     p_evolve.add_argument(
         "--slices",
+        dest="slice_boundaries",
+        metavar="SLICES",
         type=_comma_ints,
-        default=(),
         help="comma-separated boundary years, e.g. 1992,1997,2002,2007",
     )
     p_evolve.set_defaults(handler=cmd_evolve)
 
     p_corr = sub.add_parser(
         "correlate",
-        parents=[common],
+        parents=[common, solver, whole_graph],
         help="Spearman correlations of centralities vs citations, ranking profile",
     )
-    p_corr.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
-    p_corr.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_corr.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p_corr.add_argument("--whole-graph", action="store_true")
     p_corr.set_defaults(handler=cmd_correlate)
 
     p_fit = sub.add_parser(
-        "fit", parents=[common], help="power-curve fits for growth and degrees"
+        "fit",
+        parents=[common, start_year, whole_graph],
+        help="power-curve fits for growth and degrees",
     )
-    p_fit.add_argument("--start-year", type=int, default=None)
     p_fit.add_argument(
         "--series",
+        dest="series_path",
+        metavar="SERIES",
         help="pre-tabulated year,papers,authors CSV (replaces --input)",
     )
-    p_fit.add_argument("--whole-graph", action="store_true")
     p_fit.set_defaults(handler=cmd_fit)
 
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        output_dir=args.output_dir,
-        merge_map_path=args.merge_map,
-        doc_types=tuple(args.doc_types),
-        start_year=getattr(args, "start_year", None),
-        slice_boundaries=tuple(getattr(args, "slices", ())),
-        damping=getattr(args, "damping", DEFAULT_DAMPING),
-        tol=getattr(args, "tol", DEFAULT_TOL),
-        max_iter=getattr(args, "max_iter", DEFAULT_MAX_ITER),
-        top_n=getattr(args, "top_n", DEFAULT_TOP_N),
-        restrict_to_largest=not getattr(args, "whole_graph", False),
-        histogram_bins=getattr(args, "histogram_bins", None),
-        series_path=getattr(args, "series", None),
-    )
+    given = vars(args)
+    cfg = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
     if not cfg.doc_types:
         raise ConfigError("--doc-types must name at least one document type")
     if not 0.0 < cfg.damping < 1.0:
         raise ConfigError(f"--damping must lie in (0, 1), got {cfg.damping}")
-    if cfg.tol <= 0.0:
+    if not cfg.tol > 0.0:
         raise ConfigError(f"--tol must be positive, got {cfg.tol}")
     if cfg.max_iter < 1:
         raise ConfigError(f"--max-iter must be >= 1, got {cfg.max_iter}")
@@ -234,17 +240,20 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _read_text(path_str: str, what: str) -> str:
+def _read_text(path_str: str, what: str, error: type[CoauthNetError] = ConfigError) -> str:
     path = Path(path_str)
     if not path.is_file():
         raise ConfigError(f"{what} not found: {path}")
-    return path.read_text(encoding="utf-8")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path}: not valid UTF-8 at byte offset {exc.start}") from None
 
 
 def _load_corpus(cfg: RunConfig) -> list[BiblioRecord]:
     if not cfg.input_path:
         raise ConfigError("--input is required for this command")
-    records = parse_records(_read_text(cfg.input_path, "input file"))
+    records = parse_records(_read_text(cfg.input_path, "input file", ParseError))
     logger.info("parsed %d record(s) from %s", len(records), cfg.input_path)
     kept = filter_documents(records, cfg.doc_types)
     dropped = len(records) - len(kept)
@@ -264,12 +273,6 @@ def _load_corpus(cfg: RunConfig) -> list[BiblioRecord]:
     return kept
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    path = Path(cfg.output_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _write_atomic(path: Path, text: str) -> None:
     """Write-then-rename so partial runs never leave a corrupt file."""
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
@@ -285,12 +288,6 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _write_manifest(cfg: RunConfig, outdir: Path, **resolved) -> None:
-    payload = asdict(cfg)
-    payload.update(resolved)
-    _write_atomic(outdir / "run.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _restrict(cfg: RunConfig, g):
     if cfg.restrict_to_largest:
         sub, ratio = largest_component(g)
@@ -304,16 +301,25 @@ def _restrict(cfg: RunConfig, g):
     return g
 
 
-def cmd_stats(cfg: RunConfig) -> None:
-    records = _load_corpus(cfg)
-    g = build_graph(records)
-    stats = summary_stats(g)
-    outdir = _outdir(cfg)
-    _write_atomic(outdir / "summary.csv", render_summary_csv(stats))
-    _write_atomic(outdir / "edges.tsv", render_edge_list(g))
-    _write_atomic(outdir / "isolated_vertices.txt", render_isolated_vertices(g))
-    _write_manifest(cfg, outdir)
-    logger.info("wrote summary.csv, edges.tsv, isolated_vertices.txt to %s", outdir)
+def _year_range(cfg: RunConfig, records: list[BiblioRecord]) -> tuple[int, int]:
+    """``--start-year`` (default: the first year in the corpus) and the last."""
+    start = cfg.start_year if cfg.start_year is not None else min(r.year for r in records)
+    return start, max(r.year for r in records)
+
+
+# A command returns its output files as {file name: text}, in write order,
+# and the fields it resolved for run.json beyond the RunConfig.
+Outputs = tuple[dict[str, str], dict[str, object]]
+
+
+def cmd_stats(cfg: RunConfig) -> Outputs:
+    g = build_graph(_load_corpus(cfg))
+    files = {
+        "summary.csv": render_summary_csv(summary_stats(g)),
+        "edges.tsv": render_edge_list(g),
+        "isolated_vertices.txt": render_isolated_vertices(g),
+    }
+    return files, {}
 
 
 def _all_centralities(cfg: RunConfig, g):
@@ -325,41 +331,33 @@ def _all_centralities(cfg: RunConfig, g):
     )
 
 
-def cmd_centrality(cfg: RunConfig) -> None:
-    records = _load_corpus(cfg)
-    g = _restrict(cfg, build_graph(records))
-    outdir = _outdir(cfg)
+def cmd_centrality(cfg: RunConfig) -> Outputs:
+    g = _restrict(cfg, build_graph(_load_corpus(cfg)))
+    files = {}
     for cv in _all_centralities(cfg, g):
-        _write_atomic(outdir / f"{cv.measure}.csv", render_vector_csv(cv))
-        _write_atomic(
-            outdir / f"top_{cv.measure}.csv",
-            render_rank_csv(rank_table(cv, cfg.top_n)),
-        )
+        files[f"{cv.measure}.csv"] = render_vector_csv(cv)
+        files[f"top_{cv.measure}.csv"] = render_rank_csv(rank_table(cv, cfg.top_n))
         if cfg.histogram_bins:
             values = [cv.scores[v] for v in sorted(cv.scores)]
             hist = histogram(values, bins=cfg.histogram_bins, normalized=True)
-            _write_atomic(outdir / f"hist_{cv.measure}.csv", render_histogram_csv(hist))
-    _write_manifest(cfg, outdir)
-    logger.info("wrote centrality vectors and rank tables to %s", outdir)
+            files[f"hist_{cv.measure}.csv"] = render_histogram_csv(hist)
+    return files, {}
 
 
-def cmd_evolve(cfg: RunConfig) -> None:
+def cmd_evolve(cfg: RunConfig) -> Outputs:
     records = _load_corpus(cfg)
     if not cfg.slice_boundaries:
         raise ConfigError("--slices is required for evolve")
-    start = cfg.start_year if cfg.start_year is not None else min(r.year for r in records)
-    end = max(r.year for r in records)
-    slices = cumulative_slices(records, start, cfg.slice_boundaries)
-    reports = [slice_report(ts) for ts in slices]
-    growth = growth_series(records, start, end)
-    outdir = _outdir(cfg)
-    _write_atomic(outdir / "growth.csv", render_growth_csv(growth))
-    _write_atomic(outdir / "slices.csv", render_slice_csv(reports))
-    _write_manifest(cfg, outdir, start_year=start, end_year=end)
-    logger.info("wrote growth.csv and slices.csv to %s", outdir)
+    start, end = _year_range(cfg, records)
+    reports = [slice_report(ts) for ts in cumulative_slices(records, start, cfg.slice_boundaries)]
+    files = {
+        "growth.csv": render_growth_csv(growth_series(records, start, end)),
+        "slices.csv": render_slice_csv(reports),
+    }
+    return files, {"start_year": start, "end_year": end}
 
 
-def cmd_correlate(cfg: RunConfig) -> None:
+def cmd_correlate(cfg: RunConfig) -> Outputs:
     records = _load_corpus(cfg)
     g = _restrict(cfg, build_graph(records))
     citations = author_citations(records)
@@ -374,24 +372,23 @@ def cmd_correlate(cfg: RunConfig) -> None:
     }
     report = correlation_matrix(series)
     profile = ranking_profile(pr, [clo, bet, deg], {v: citations.get(v, 0) for v in vertices})
-    outdir = _outdir(cfg)
-    _write_atomic(outdir / "correlation.csv", render_correlation_csv(report))
-    _write_atomic(outdir / "correlation_sig.csv", render_significance_csv(report))
-    _write_atomic(outdir / "ranking_profile.csv", render_profile_csv(profile))
-    _write_manifest(cfg, outdir, n=report.n)
-    logger.info("wrote correlation and ranking-profile files to %s", outdir)
+    files = {
+        "correlation.csv": render_correlation_csv(report),
+        "correlation_sig.csv": render_significance_csv(report),
+        "ranking_profile.csv": render_profile_csv(profile),
+    }
+    return files, {"n": report.n}
 
 
-def cmd_fit(cfg: RunConfig) -> None:
+def cmd_fit(cfg: RunConfig) -> Outputs:
     fits = []
     resolved: dict[str, object] = {}
     if cfg.series_path:
-        rows = parse_growth_csv(_read_text(cfg.series_path, "series file"))
+        rows = parse_growth_csv(_read_text(cfg.series_path, "series file", ParseError))
         records = None
     else:
         records = _load_corpus(cfg)
-        start = cfg.start_year if cfg.start_year is not None else min(r.year for r in records)
-        end = max(r.year for r in records)
+        start, end = _year_range(cfg, records)
         rows = growth_series(records, start, end)
         resolved.update(start_year=start, end_year=end)
     t_axis = range(1, len(rows) + 1)
@@ -400,10 +397,7 @@ def cmd_fit(cfg: RunConfig) -> None:
     if records is not None:
         g = _restrict(cfg, build_graph(records))
         fits.append(("degree_distribution", power_fit(degree_distribution(g))))
-    outdir = _outdir(cfg)
-    _write_atomic(outdir / "fits.csv", render_fit_csv(fits))
-    _write_manifest(cfg, outdir, **resolved)
-    logger.info("wrote fits.csv to %s", outdir)
+    return {"fits.csv": render_fit_csv(fits)}, resolved
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -413,19 +407,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = _config_from_args(args)
-        args.handler(cfg)
-    except ConfigError as exc:
+        files, resolved = args.handler(cfg)
+        manifest = {**asdict(cfg), **resolved}
+        files["run.json"] = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+        outdir = Path(cfg.output_dir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            _write_atomic(outdir / name, text)
+        logger.info("wrote %s to %s", ", ".join(files), outdir)
+    except (CoauthNetError, OSError) as exc:
         logger.error("%s", exc)
-        return EXIT_CONFIG
-    except ConvergenceError as exc:
-        logger.error("%s", exc)
-        return EXIT_CONVERGENCE
-    except CoauthNetError as exc:
-        logger.error("%s", exc)
-        return EXIT_DATA
-    except OSError as exc:
-        logger.error("%s", exc)
-        return EXIT_DATA
+        if isinstance(exc, ConfigError):
+            return EXIT_CONFIG
+        return EXIT_CONVERGENCE if isinstance(exc, ConvergenceError) else EXIT_DATA
     return EXIT_OK
 
 

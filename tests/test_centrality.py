@@ -199,6 +199,10 @@ class TestPageRank:
         with pytest.raises(DataError):
             pagerank(CoauthGraph({}))
 
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ConfigError, match="tol must be positive, got nan"):
+            pagerank(STAR, tol=float("nan"))
+
     def test_single_vertex(self):
         assert pagerank(CoauthGraph({"a": {}})).scores == {"a": 1.0}
 

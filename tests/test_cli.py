@@ -167,6 +167,7 @@ class TestCentralityCommand:
                        str(tmp_path / "out"), "--max-iter", "1", "--tol", "1e-15")
         assert code == 3
         assert "did not converge" in caplog.text
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvolveCommand:
@@ -319,6 +320,9 @@ class TestFitCommand:
         assert float(rows["authors"]["exponent"]) == pytest.approx(0.98, abs=0.02)
         assert float(rows["authors"]["r_squared"]) >= 0.99
         assert "degree_distribution" not in rows  # series mode has no corpus
+        assert {p.name for p in out.iterdir()} == {"fits.csv", "run.json"}
+        manifest = json.loads((out / "run.json").read_text(encoding="utf-8"))
+        assert (manifest["input_path"], manifest["series_path"]) == (None, str(series_path))
 
     def test_exact_power_growth_corpus_gives_r2_one(self, tmp_path):
         # cumulative papers and authors both equal t^2: year t adds 2t-1
@@ -395,3 +399,64 @@ class TestCliPlumbing:
         assert manifest["slice_boundaries"] == [1997, 2007]
         assert manifest["start_year"] == 1988  # resolved from the corpus
         assert manifest["doc_types"] == ["Article", "Review"]
+
+    @pytest.mark.parametrize("command, flag, what, code", [
+        ("stats", "--input", "input file", 2),
+        ("stats", "--merge-map", "merge map", 1),
+        ("fit", "--series", "series file", 2),
+    ], ids=["input", "merge-map", "series"])
+    def test_non_utf8_file_names_file_and_offset(self, tmp_path, caplog, command, flag, what, code):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"UT\tAU\n\xff")
+        with caplog.at_level(logging.ERROR):
+            # with flag == "--input" the second --input wins
+            assert run(command, "--input", FIXTURE, flag, str(bad),
+                       "--output-dir", str(tmp_path / "o")) == code
+        assert f"{what} {bad}: not valid UTF-8 at byte offset 6" in caplog.text
+        assert not (tmp_path / "o").exists()
+
+    def test_nan_tol_exits_1_before_loading_corpus(self, tmp_path, caplog):
+        with caplog.at_level(logging.INFO):
+            assert run("centrality", "--input", FIXTURE, "--output-dir",
+                       str(tmp_path / "o"), "--tol", "nan") == 1
+        assert "--tol must be positive, got nan" in caplog.text
+        assert "parsed" not in caplog.text
+
+    @pytest.mark.parametrize("argv", [
+        ("stats", "--whole-graph"),
+        ("stats", "--damping", "0.5"),
+        ("evolve", "--slices", "1997", "--top-n", "3"),
+        ("fit", "--damping", "0.5"),
+        ("correlate", "--top-n", "3"),
+        ("correlate", "--histogram-bins", "3"),
+    ], ids=" ".join)
+    def test_flag_of_another_command_exits_1(self, tmp_path, argv):
+        command, *flags = argv
+        out = tmp_path / "o"
+        assert run(command, "--input", FIXTURE, "--output-dir", str(out), *flags) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, recorded", [
+        ("fit", ["--whole-graph"], {"restrict_to_largest": False}),
+        ("correlate", ["--whole-graph"], {"restrict_to_largest": False}),
+        ("fit", ["--start-year", "1990"], {"start_year": 1990, "restrict_to_largest": True}),
+    ], ids=["fit --whole-graph", "correlate --whole-graph", "fit --start-year 1990"])
+    def test_accepted_flag_reaches_manifest(self, tmp_path, command, flags, recorded):
+        out = tmp_path / "o"
+        assert run(command, "--input", FIXTURE, "--merge-map", MERGE_MAP,
+                   "--output-dir", str(out), *flags) == 0
+        manifest = json.loads((out / "run.json").read_text(encoding="utf-8"))
+        assert {key: manifest[key] for key in recorded} == recorded
+
+    def test_centrality_non_default_flags_and_file_set(self, tmp_path):
+        out = tmp_path / "o"
+        assert run("centrality", "--input", FIXTURE, "--merge-map", MERGE_MAP,
+                   "--output-dir", str(out), "--whole-graph", "--damping", "0.9",
+                   "--top-n", "5", "--histogram-bins", "4") == 0
+        manifest = json.loads((out / "run.json").read_text(encoding="utf-8"))
+        assert manifest["restrict_to_largest"] is False
+        assert (manifest["damping"], manifest["top_n"], manifest["histogram_bins"]) == (0.9, 5, 4)
+        measures = ("degree", "closeness", "betweenness", "pagerank")
+        expected = {f"{prefix}{m}.csv" for m in measures for prefix in ("", "top_", "hist_")}
+        assert {p.name for p in out.iterdir()} == expected | {"run.json"}
+        assert len(read_rows(out / "top_degree.csv")) == 5
