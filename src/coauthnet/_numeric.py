@@ -1,7 +1,12 @@
-"""numpy/scipy kernels of graph and centrality, which import this module on
-first call; no other module imports numpy or scipy. Index order is
-lexicographic order, and every sum adds in the order of the per-source
-Python loop it replaces, so the results are that loop's bits."""
+"""numpy kernels of graph and centrality, which import this module on
+first call; no other module imports numpy, and none of them needs scipy.
+
+A graph is read as plain CSR arrays (csr_view). One bit-parallel sweep,
+64 sources per machine word, gives the hop distances behind mean distance,
+closeness and betweenness; betweenness rebuilds each search's visiting
+order from the distances alone. Index order is lexicographic order, and
+every sum adds in the order of the per-source Python loop it replaces, so
+the results are that loop's bits."""
 
 from __future__ import annotations
 
@@ -9,119 +14,167 @@ from itertools import chain
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import ConvergenceError
 from .graph import CoauthGraph
 
+# A CSR view: row pointers and ascending column indices per row.
+Csr = tuple[np.ndarray, np.ndarray]
 
-def csr_view(g: CoauthGraph) -> tuple[list[str], csr_matrix]:
-    """The graph's vertex names and its 0/1 adjacency matrix in CSR form.
-    Rows and columns follow the graph's index order, which is lexicographic
-    order, and every row's column indices are sorted."""
-    names, adj = g._names, g._adj
-    n = len(names)
-    indptr = np.zeros(n + 1, dtype=np.int32)
+
+def csr_view(g: CoauthGraph) -> Csr:
+    """The graph's adjacency in CSR form, (indptr, indices). Rows follow
+    the graph's index order, which is lexicographic order, and every row's
+    column indices are sorted."""
+    adj = g._adj
+    indptr = np.zeros(len(adj) + 1, dtype=np.int64)
     np.cumsum([len(nbrs) for nbrs in adj], out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(adj), dtype=np.int32, count=int(indptr[-1]))
-    return names, csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    indices = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(indptr[-1]))
+    return indptr, indices
 
 
-def connected(a: csr_matrix) -> bool:
-    """Whether one search from vertex 0 reaches every vertex."""
-    return len(breadth_first_order(a, 0, return_predecessors=False)) == a.shape[0]
+# Sources per sweep block: one bit of a uint64 word each.
+WORD = 64
+_BIT = np.left_shift(np.uint64(1), np.arange(WORD, dtype=np.uint64))
 
 
-# Sources per sweep block. Each block holds a few BLOCK x (n + 2m) arrays, so
-# a larger block trades peak memory for fewer numpy calls.
-BLOCK = 16
+def _unpack(words: np.ndarray, k: int) -> np.ndarray:
+    """n x k 0/1 array whose column b is bit b of every word. The words are
+    read little-endian, so bit b is the same bit on any host."""
+    as_bytes = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(as_bytes, axis=1, count=k, bitorder="little")
 
 
-def sweep(a: csr_matrix) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Breadth-first search from every vertex of a CSR view, one block of
-    BLOCK sources at a time, in source order.
+def sweep(a: Csr) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Breadth-first search from every vertex of a CSR view, WORD sources
+    per block, in source order.
 
-    Yields (sources, dist, pos) per block. dist[b, v] is the hop distance
-    from sources[b] to v, -1 when unreachable; pos[b, v] is v's place in
-    that search's visiting order, -1 when unreachable. With sorted CSR rows
-    scipy visits the vertices in exactly graph._bfs's order.
+    Yields (sources, dist) per block; dist[b, v] is the hop distance from
+    sources[b] to v, -1 when unreachable. The searches of one block run
+    together (Then et al., "The More the Merrier", PVLDB 2014): bit b of a
+    vertex's seen word says source b has reached it, and one level ORs the
+    words of the frontier vertices, only theirs, into their neighbours.
+    Bit j of each new vertex's level is ORed into bit plane j, and the
+    distances are read back from the planes.
     """
-    n = a.shape[0]
-    for start in range(0, n, BLOCK):
-        sources = np.arange(start, min(start + BLOCK, n))
-        pred = np.empty((len(sources), n), dtype=np.int32)
-        pos = np.full((len(sources), n), -1, dtype=np.int32)
-        for b, s in enumerate(sources):
-            order, pred[b] = breadth_first_order(a, s, directed=True)
-            pos[b, order] = np.arange(len(order), dtype=np.int32)
-        # Depths by pointer jumping: dist[v] counts the hops from v up to
-        # anc[v] (-1 once the jumps reach the source), and each round
-        # doubles the hops a pointer spans.
-        reached = pred >= 0
-        row_base = np.arange(len(sources))[:, None] * n
-        anc = np.where(reached, pred + row_base, -1).ravel()
-        dist = reached.astype(np.int32).ravel()
-        live = np.flatnonzero(anc >= 0)
-        while live.size:
-            up = anc[live]
-            dist[live] += dist[up]
-            anc[live] = anc[up]
-            live = live[anc[live] >= 0]
-        dist = dist.reshape(pos.shape)
-        dist[pos < 0] = -1
-        yield sources, dist, pos
+    indptr, indices = a
+    n = len(indptr) - 1
+    degree = np.diff(indptr)
+    nxt = np.zeros(n, dtype=np.uint64)  # OR target, all zero between levels
+    stamp = np.empty(n, dtype=np.int64)
+    for start in range(0, n, WORD):
+        sources = np.arange(start, min(start + WORD, n))
+        k = len(sources)
+        seen = np.zeros(n, dtype=np.uint64)
+        seen[sources] = _BIT[:k]
+        planes: list[np.ndarray] = []
+        front, words, level = sources, _BIT[:k], 0
+        while front.size:
+            level += 1
+            deg = degree[front]
+            ends = np.cumsum(deg)
+            arcs = np.repeat(indptr[front] - (ends - deg), deg) + np.arange(ends[-1])
+            targets = indices[arcs]
+            np.bitwise_or.at(nxt, targets, np.repeat(words, deg))
+            # each target once: the one arc whose stamp survives
+            arange = np.arange(len(targets))
+            stamp[targets] = arange
+            reached = targets[stamp[targets] == arange]
+            words = nxt[reached] & ~seen[reached]
+            nxt[reached] = 0
+            new = words != 0
+            front, words = reached[new], words[new]
+            seen[front] |= words
+            if level.bit_length() > len(planes):
+                planes.append(np.zeros(n, dtype=np.uint64))
+            for j, plane in enumerate(planes):
+                if level >> j & 1:
+                    plane[front] |= words
+        # the narrowest signed type that holds every level and -1
+        dist = np.zeros((n, k), dtype=np.min_scalar_type(-(1 << len(planes))))
+        for j, plane in enumerate(planes):
+            dist |= _unpack(plane, k).astype(dist.dtype) << j
+        dist[_unpack(seen, k) == 0] = -1
+        yield sources, np.ascontiguousarray(dist.T)
 
 
-def distance_sum(a: csr_matrix) -> int:
+def distance_sum(a: Csr) -> int:
     """Hop distances summed over ordered pairs of a connected view, in int64."""
-    return sum(int(dist.sum(dtype=np.int64)) for _, dist, _ in sweep(a))
+    return sum(int(dist.sum(dtype=np.int64)) for _, dist in sweep(a))
 
 
-def closeness_sums(a: csr_matrix) -> list[float]:
+def closeness_sums(a: Csr) -> list[float]:
     """Sum over reachable others of 1/distance, for every vertex."""
     values: list[float] = []
-    for _, dist, _ in sweep(a):
+    for _, dist in sweep(a):
         inv = np.divide(1.0, dist, out=np.zeros(dist.shape), where=dist > 0)
         # cumsum adds each row left to right, the order of a Python sum
         values.extend(np.cumsum(inv, axis=1)[:, -1].tolist())
     return values
 
 
-def block_dependencies(
-    a: csr_matrix, sources: np.ndarray, dist: np.ndarray, pos: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dependencies of every vertex on each source of one sweep block, and
-    for each source whether a path count reached 2**53.
+# Sources per dependency block. Each block holds a few DEPENDENCY_ROWS x
+# (n + 2m) arrays, so a larger block trades peak memory for fewer numpy calls.
+DEPENDENCY_ROWS = 16
 
-    The shortest-path DAG arcs (w, v), dist[v] == dist[w] - 1, are sorted
-    by level of w descending, then source, then w's BFS position
-    descending. Sums run one level at a time through np.add.at, which
-    applies repeated indices in the order given, so every delta receives
-    the additions of centrality._source_dependencies in its order. The arcs
-    of one w reach distinct v, so their relative order changes no delta, and
-    sigma sums are exact in any order.
+
+def block_dependencies(a: Csr, sources: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dependencies of every vertex on each source of one block of sweep
+    rows, and for each source whether a path count reached 2**53.
+
+    The shortest-path DAG arcs (w, v), dist[v] == dist[w] - 1, are grouped
+    by level of w, in (source, w) order within a level. With sorted rows a
+    search visits one level in the order of (position of w's first parent,
+    w), its first parent being its parent visited first, so each level's
+    ranks follow from the previous level's. The delta loop takes the
+    levels deepest first, each in w's visiting order descending, through
+    np.add.at, which applies repeated indices in the order given: every
+    delta receives the additions of centrality._source_dependencies in its
+    order. The arcs of one w reach distinct v, so their relative order
+    changes no delta, and sigma sums are exact in any order.
     """
+    indptr, indices = a
     k, n = dist.shape
-    arc_w = np.repeat(np.arange(n, dtype=np.int32), np.diff(a.indptr))
+    arc_w = np.repeat(np.arange(n), np.diff(indptr))
     dw = dist[:, arc_w]
-    b, arc = (i.astype(np.int32) for i in np.nonzero((dw > 0) & (dist[:, a.indices] == dw - 1)))
-    level = dw[b, arc]
+    dag = np.flatnonzero((dw > 0) & (dist[:, indices] == dw - 1))
+    level = dw.ravel()[dag]
     del dw
-    w = arc_w[arc]
-    depth = level.max(initial=0) - level.astype(np.int64)  # int64 for the sort key
-    rank = np.argsort((depth * k + b) * n + (n - 1) - pos[b, w])
+    # a stable sort keeps (source, w) order within a level; on dist's small
+    # ints numpy's stable sort is a radix sort
+    by_level = np.argsort(level, kind="stable")
+    b, arc = np.divmod(dag[by_level], len(indices))
     # flat indices b * n + vertex into the block's k x n arrays
-    fw, fv, level = (b * n + w)[rank], (b * n + a.indices[arc])[rank], level[rank]
-    del b, arc, w, rank, depth
-    cuts = [0, *(np.flatnonzero(np.diff(level)) + 1).tolist(), len(level)]
-    levels = list(zip(cuts, cuts[1:]))  # deepest level first
+    fw, fv = b * n + arc_w[arc], b * n + indices[arc]
+    # levels run from 1 up without a gap
+    cuts = [0, *np.cumsum(np.bincount(level)[1:]).tolist()]
+    del dag, level, by_level, b, arc
+    levels = list(zip(cuts, cuts[1:]))  # shallowest level first
+    # runs of arcs with one w; a new level starts a new run
+    first = np.flatnonzero(np.diff(fw, prepend=-1))
+    run_w, run_cuts = fw[first], np.searchsorted(first, cuts).tolist()
+    # rank[x]: x's place in its level, counted over the whole block; rows
+    # come in source order, so each search's visiting order is kept
+    rank = np.empty(k * n, dtype=np.int64)
+    rank[np.arange(k) * n + sources] = np.arange(k)
+    for (lo, hi), (rlo, rhi) in zip(levels, zip(run_cuts, run_cuts[1:])):
+        w, v, starts = fw[lo:hi], fv[lo:hi], first[rlo:rhi] - lo
+        parent = np.minimum.reduceat(rank[v], starts)
+        order = np.argsort(parent * (k * n) + run_w[rlo:rhi])
+        rank[run_w[rlo:rhi][order]] = np.arange(rhi - rlo)
+        # the level's runs in visiting order descending
+        runs = order[::-1]
+        size = np.diff(starts, append=hi - lo)[runs]
+        ends = np.cumsum(size)
+        take = np.repeat(starts[runs] - (ends - size), size) + np.arange(hi - lo)
+        fw[lo:hi], fv[lo:hi] = w[take], v[take]
+    del rank
     sigma = np.zeros(k * n)
     sigma[np.arange(k) * n + sources] = 1.0
-    for lo, hi in reversed(levels):
+    for lo, hi in levels:
         np.add.at(sigma, fw[lo:hi], sigma[fv[lo:hi]])
     delta = np.zeros(k * n)
-    for lo, hi in levels:
+    for lo, hi in reversed(levels):
         v, w = fv[lo:hi], fw[lo:hi]
         np.add.at(delta, v, sigma[v] / sigma[w] * (1.0 + delta[w]))
     delta = delta.reshape(k, n)
@@ -130,25 +183,29 @@ def block_dependencies(
     return delta, sigma.reshape(k, n).max(axis=1) >= 2.0**53
 
 
-def betweenness_sums(g: CoauthGraph, a: csr_matrix, exact: Callable) -> list[float]:
+def betweenness_sums(g: CoauthGraph, a: Csr, exact: Callable) -> list[float]:
     """Dependencies summed in source order and halved; a source whose path
     counts reach 2**53 takes them from exact(g._adj, source)."""
-    totals = np.zeros(a.shape[0])
-    for sources, dist, pos in sweep(a):
-        delta, inexact = block_dependencies(a, sources, dist, pos)
-        for s, row, redo in zip(sources.tolist(), delta, inexact.tolist()):
-            if redo:
-                row = exact(g._adj, s)
-            totals += row
+    totals = np.zeros(len(g))
+    for sources, dist in sweep(a):
+        for lo in range(0, len(sources), DEPENDENCY_ROWS):
+            rows = slice(lo, lo + DEPENDENCY_ROWS)
+            delta, inexact = block_dependencies(a, sources[rows], dist[rows])
+            for s, row, redo in zip(sources[rows].tolist(), delta, inexact.tolist()):
+                if redo:
+                    row = exact(g._adj, s)
+                totals += row
     # each unordered pair was seen from both endpoints
     return (totals / 2.0).tolist()
 
 
-def pagerank_power(a: csr_matrix, damping: float, tol: float, max_iter: int) -> list[float]:
+def pagerank_power(a: Csr, damping: float, tol: float, max_iter: int) -> list[float]:
     """Power iteration from the uniform vector until the L1 change drops
     below tol; ConvergenceError once max_iter passes first."""
-    n = a.shape[0]
-    degree = np.diff(a.indptr)
+    indptr, indices = a
+    n = len(indptr) - 1
+    degree = np.diff(indptr)
+    row_of_arc = np.repeat(np.arange(n), degree)
     dangling = degree == 0
     spread = np.maximum(degree, 1)  # a dangling vertex's share is never read
     base = (1.0 - damping) / n
@@ -156,9 +213,10 @@ def pagerank_power(a: csr_matrix, damping: float, tol: float, max_iter: int) -> 
     residual = 0.0
     for _ in range(max_iter):
         # Python sums over lists keep the vertex-order summation sequence;
-        # the CSR product sums each row's neighbours in index order.
+        # bincount adds each row's neighbours in index order, from 0.0.
         dangling_share = sum(rank[dangling].tolist()) / n
-        nxt = base + damping * (a @ (rank / spread) + dangling_share)
+        spread_in = np.bincount(row_of_arc, weights=(rank / spread)[indices], minlength=n)
+        nxt = base + damping * (spread_in + dangling_share)
         residual = sum(np.abs(nxt - rank).tolist())
         rank = nxt
         if residual < tol:

@@ -7,8 +7,11 @@ Brandes' dependency accumulation), and PageRank over the bidirectional
 arc interpretation of the undirected graph.
 
 Closeness, betweenness and PageRank run in the private ``_numeric`` module,
-imported on their first call, which alone loads numpy and scipy; its sums
-add in the order of per-vertex Python loops, so the scores are their bits.
+imported on their first call, which alone loads numpy. Closeness and
+betweenness read its bit-parallel sweep, 64 sources per machine word, and
+betweenness rebuilds each search's visiting order from the distances; every
+sum adds in the order of per-vertex Python loops, so the scores are their
+bits.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ def degree_centrality(g: CoauthGraph) -> CentralityVector:
 def closeness_centrality(g: CoauthGraph) -> CentralityVector:
     """Sum over reachable others of 1/distance; unreachable pairs add 0."""
     from . import _numeric
-    names, a = _numeric.csr_view(g)
-    return CentralityVector("closeness", dict(zip(names, _numeric.closeness_sums(a))))
+    sums = _numeric.closeness_sums(_numeric.csr_view(g))
+    return CentralityVector("closeness", dict(zip(g._names, sums)))
 
 
 def _source_dependencies(adj: list[dict[int, int]], s: int) -> list[float]:
@@ -93,9 +96,8 @@ def betweenness_centrality(g: CoauthGraph) -> CentralityVector:
     Python loop's (_source_dependencies) bit for bit.
     """
     from . import _numeric
-    names, a = _numeric.csr_view(g)
-    totals = _numeric.betweenness_sums(g, a, _source_dependencies)
-    return CentralityVector("betweenness", dict(zip(names, totals)))
+    totals = _numeric.betweenness_sums(g, _numeric.csr_view(g), _source_dependencies)
+    return CentralityVector("betweenness", dict(zip(g._names, totals)))
 
 
 def pagerank(
@@ -118,12 +120,11 @@ def pagerank(
         raise ConfigError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
-    from . import _numeric
-    names, a = _numeric.csr_view(g)
-    if not names:
+    if not len(g):
         raise DataError("pagerank: graph has no vertices")
-    rank = _numeric.pagerank_power(a, damping, tol, max_iter)
-    return CentralityVector("pagerank", dict(zip(names, rank)))
+    from . import _numeric
+    rank = _numeric.pagerank_power(_numeric.csr_view(g), damping, tol, max_iter)
+    return CentralityVector("pagerank", dict(zip(g._names, rank)))
 
 
 def rank_table(cv: CentralityVector, top_n: int) -> RankTable:

@@ -216,7 +216,8 @@ def _bfs(adj: list[dict[int, int]], s: int) -> tuple[list[int], list[int]]:
 
     Returns the vertices in BFS visiting order (s first, neighbours in
     index order) and the distance of every index, -1 when unreachable.
-    This is the one shortest-path sweep behind every distance measure.
+    The exact per-source loops and mean_distance's connectivity check run
+    on it; the numpy sweep behind the distance measures equals it.
     """
     dist = [-1] * len(adj)
     dist[s] = 0
@@ -241,18 +242,18 @@ def shortest_path_lengths(g: CoauthGraph, source: str) -> dict[str, int]:
 def mean_distance(g: CoauthGraph) -> float:
     """Mean hop distance over unordered vertex pairs of the largest component.
 
-    A connected graph is its own largest component: one search from vertex
-    0 settles that, and only a disconnected graph is labeled and copied.
+    A connected graph is its own largest component: one _bfs from vertex 0
+    settles that, and only a disconnected graph is labeled and copied. The
+    integer distance sum comes from _numeric's bit-parallel sweep.
     """
-    from . import _numeric
-    names, a = _numeric.csr_view(g)
-    if not names or not _numeric.connected(a):
-        names, a = _numeric.csr_view(largest_component(g)[0])
-    n = len(names)
+    if not len(g) or len(_bfs(g._adj, 0)[0]) < len(g):
+        g = largest_component(g)[0]
+    n = len(g)
     if n < 2:
         raise DataError("mean_distance: largest component has no vertex pair")
     pairs = n * (n - 1) // 2
-    return (_numeric.distance_sum(a) // 2) / pairs
+    from . import _numeric
+    return (_numeric.distance_sum(_numeric.csr_view(g)) // 2) / pairs
 
 
 def clustering_coefficient(g: CoauthGraph) -> float:

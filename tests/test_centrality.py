@@ -343,9 +343,37 @@ def diamond_chain(k: int) -> CoauthGraph:
     return CoauthGraph.from_edges(edges)
 
 
+def spanning_graph(rng: Random, names: list[str], groups: list[list[int]]) -> CoauthGraph:
+    """One connected component per group of name indices: a random tree
+    plus a chord per three vertices, so some pairs have several geodesics."""
+    edges = []
+    for group in groups:
+        members = [names[i] for i in group]
+        rng.shuffle(members)
+        edges += [(v, rng.choice(members[:j])) for j, v in enumerate(members) if j]
+        edges += [tuple(rng.sample(members, 2)) for _ in range(len(members) // 3)]
+    return CoauthGraph.from_edges(edges, vertices=names)
+
+
+def word_boundary_graphs() -> list[CoauthGraph]:
+    """Graphs around the sweep's 64-source words: a component and a pair
+    that span indices 63 and 64 with isolated vertices beside them, and a
+    graph whose second word of sources is all isolated vertices."""
+    names = [f"V{i:03d}" for i in range(130)]
+    straddling = spanning_graph(
+        Random(3300),
+        names,
+        [[*range(62), 63, *range(66, 90)], [62, 64], [*range(90, 127), 129]],
+    )  # 65, 127 and 128 are isolated
+    isolated_word = spanning_graph(Random(3301), names, [list(range(64)), list(range(128, 130))])
+    return [straddling, isolated_word]
+
+
 def bit_identity_graphs() -> list[CoauthGraph]:
-    """41 seeded graphs of 2-500 vertices, connected and disconnected, and
-    the degenerate shapes: no vertex, one vertex, no edge, one edge."""
+    """41 seeded graphs of 2-500 vertices, connected and disconnected, the
+    graphs around the sweep's 64-source words (connected ones of 63, 64,
+    65, 128 and 129 vertices, and word_boundary_graphs), and the degenerate
+    shapes: no vertex, one vertex, no edge, one edge."""
     graphs = []
     for seed in range(40):
         rng = Random(3000 + seed)
@@ -357,6 +385,8 @@ def bit_identity_graphs() -> list[CoauthGraph]:
                 random_coauthor_graph(rng, tuple(rng.randint(1, 500 // parts) for _ in range(parts)))
             )
     graphs.append(random_coauthor_graph(Random(3100), (500,)))
+    graphs += [random_coauthor_graph(Random(3200 + n), (n,)) for n in (63, 64, 65, 128, 129)]
+    graphs += word_boundary_graphs()
     graphs += [
         CoauthGraph({}),
         CoauthGraph({"a": {}}),
@@ -417,16 +447,24 @@ class TestSweepScaling:
             best = min(best, time.perf_counter() - start)
         return best
 
+    @staticmethod
+    def path(n: int) -> CoauthGraph:
+        return CoauthGraph.from_edges([(f"P{i:04d}", f"P{i + 1:04d}") for i in range(n - 1)])
+
     @pytest.mark.parametrize(
         "measure", [closeness_centrality, betweenness_centrality, mean_distance]
     )
     def test_path_time_grows_at_most_quadratically(self, measure):
-        def path(n: int) -> CoauthGraph:
-            return CoauthGraph.from_edges([(f"P{i:04d}", f"P{i + 1:04d}") for i in range(n - 1)])
-
-        short, long_ = path(150), path(600)
+        short, long_ = self.path(150), self.path(600)
         # 4x the vertices: quadratic work gives 16x, cubic 64x
         assert self.best_time(measure, long_) < 32 * self.best_time(measure, short)
+
+    @pytest.mark.paper_scale
+    def test_long_path_time_grows_at_most_quadratically(self):
+        """A sweep level that touches every vertex, not just the frontier's
+        rows, is cubic; on paths this long it shows."""
+        short, long_ = self.path(600), self.path(2400)
+        assert self.best_time(mean_distance, long_) < 32 * self.best_time(mean_distance, short)
 
     def test_build_and_components_time_grows_linearly(self):
         def mapping(n: int) -> dict[str, dict[str, int]]:

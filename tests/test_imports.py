@@ -57,13 +57,13 @@ def test_fit_loads_no_numeric_module(tmp_path):
         ("centrality",),
     ],
 )
-def test_graph_commands_load_csgraph_but_not_the_t_tail(tmp_path, argv):
+def test_graph_commands_load_numpy_and_no_scipy(tmp_path, argv):
     loaded = after_command(tmp_path, *argv)
-    assert {"numpy", "scipy.sparse.csgraph"} <= loaded
-    assert "scipy.stats" not in loaded
+    assert "numpy" in loaded
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
 
 
 def test_correlate_takes_the_t_tail_from_scipy_special(tmp_path):
     loaded = after_command(tmp_path, "correlate")
-    assert {"numpy", "scipy.sparse.csgraph", "scipy.special"} <= loaded
-    assert "scipy.stats" not in loaded
+    assert {"numpy", "scipy.special"} <= loaded
+    assert not {m for m in loaded if m.startswith(("scipy.sparse", "scipy.stats"))}
