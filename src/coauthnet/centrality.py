@@ -16,6 +16,7 @@ bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -118,6 +119,8 @@ def pagerank(
         raise ConfigError(f"damping must lie in (0, 1), got {damping}")
     if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
+    if math.isinf(tol):
+        raise ConfigError(f"tol must be finite, got {tol}")
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     if not len(g):

@@ -9,9 +9,9 @@ is written; ``main`` then writes each one atomically and, last, a
 of its largest component.
 
 Exit codes: 0 success, 1 usage or configuration error (a ``--tol`` that is
-not a positive number, NaN included, or a merge map that is not UTF-8),
-2 data error (an input or series file that is not UTF-8), 3 convergence
-error.
+not a positive finite number, NaN and infinity included, or a merge map that
+is not UTF-8), 2 data error (an input or series file that is not UTF-8),
+3 convergence error.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -231,6 +232,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"--damping must lie in (0, 1), got {cfg.damping}")
     if not cfg.tol > 0.0:
         raise ConfigError(f"--tol must be positive, got {cfg.tol}")
+    if math.isinf(cfg.tol):
+        raise ConfigError(f"--tol must be finite, got {cfg.tol}")
     if cfg.max_iter < 1:
         raise ConfigError(f"--max-iter must be >= 1, got {cfg.max_iter}")
     if cfg.top_n < 1:

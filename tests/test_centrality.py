@@ -203,6 +203,10 @@ class TestPageRank:
         with pytest.raises(ConfigError, match="tol must be positive, got nan"):
             pagerank(STAR, tol=float("nan"))
 
+    def test_inf_tol_rejected(self):
+        with pytest.raises(ConfigError, match="tol must be finite, got inf"):
+            pagerank(STAR, tol=float("inf"))
+
     def test_single_vertex(self):
         assert pagerank(CoauthGraph({"a": {}})).scores == {"a": 1.0}
 

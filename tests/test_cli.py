@@ -422,6 +422,13 @@ class TestCliPlumbing:
         assert "--tol must be positive, got nan" in caplog.text
         assert "parsed" not in caplog.text
 
+    def test_inf_tol_exits_1_before_loading_corpus(self, tmp_path, caplog):
+        with caplog.at_level(logging.INFO):
+            assert run("centrality", "--input", FIXTURE, "--output-dir",
+                       str(tmp_path / "o"), "--tol", "inf") == 1
+        assert "--tol must be finite, got inf" in caplog.text
+        assert "parsed" not in caplog.text
+
     @pytest.mark.parametrize("argv", [
         ("stats", "--whole-graph"),
         ("stats", "--damping", "0.5"),

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from test_digests import DIGESTS, write_corpus
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = Path(__file__).parent / "data"
 FIXTURE = str(DATA / "fixture_corpus.tsv")
@@ -33,8 +35,9 @@ def numeric_modules_after(code: str) -> set[str]:
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
-def after_command(tmp_path: Path, *argv: str) -> set[str]:
-    args = [*argv, "--input", FIXTURE, "--merge-map", MERGE_MAP, "--output-dir", str(tmp_path)]
+def after_command(tmp_path: Path, *argv: str, corpus: str = FIXTURE,
+                  merge_map: str = MERGE_MAP) -> set[str]:
+    args = [*argv, "--input", corpus, "--merge-map", merge_map, "--output-dir", str(tmp_path)]
     return numeric_modules_after(
         f"from coauthnet.cli import main\nassert main({args!r}) == 0"
     )
@@ -67,3 +70,14 @@ def test_correlate_takes_the_t_tail_from_scipy_special(tmp_path):
     loaded = after_command(tmp_path, "correlate")
     assert {"numpy", "scipy.special"} <= loaded
     assert not {m for m in loaded if m.startswith(("scipy.sparse", "scipy.stats"))}
+
+
+def test_correlate_on_clearly_significant_pairs_loads_no_scipy(tmp_path):
+    """On the tier-1 digest corpus every pair is clearly significant, so the
+    closed-form tail bound settles every flag and scipy never loads."""
+    tier = DIGESTS["tier1"]
+    write_corpus(tmp_path, tier["scale"], tier["seed"])
+    loaded = after_command(tmp_path / "out", "correlate", corpus=str(tmp_path / "corpus.tsv"),
+                           merge_map=str(tmp_path / "merge_map.csv"))
+    assert "numpy" in loaded
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import logging
 import math
 from random import Random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import stdtrit
 from scipy.stats import spearmanr
 from scipy.stats import t as student_t
 
@@ -191,6 +193,37 @@ class TestSpearman:
             assert p == 2.0 * float(student_t.sf(abs(t_stat), n - 2))
 
 
+def t_critical(nu):
+    """|t| at which the two-sided Student-t p-value is exactly 0.01."""
+    return float(stdtrit(nu, 0.995))
+
+
+CRITICAL_MULTIPLES = (0.99, 1.0, 1.005, 1.01, 1.02, 1.05)
+
+
+class TestSignificanceBound:
+    """``stats._log_p_bound`` against scipy's exact two-sided t tail."""
+
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5, 10, 30, 100, 885, 7403, 20_000, 10**6])
+    def test_sound_and_tight(self, nu):
+        t_crit = t_critical(nu)
+        grid = [10.0 ** (e / 20) for e in range(-60, 61)]
+        grid += [t_crit * m for m in CRITICAL_MULTIPLES]
+        for t in grid:
+            p = 2.0 * float(student_t.sf(t, nu))
+            log_bound = stats._log_p_bound(nu, t)
+            if p > 0.0:
+                assert log_bound >= math.log(p), (nu, t)
+            settled = log_bound < stats._SETTLED_BELOW
+            if settled:
+                assert p < 0.01, (nu, t)
+            if t >= 1.02 * t_crit:
+                assert settled, (nu, t, t_crit)
+
+    def test_zero_t_is_never_settled(self):
+        assert stats._log_p_bound(10, 0.0) == math.inf
+
+
 class TestCorrelationMatrix:
     def test_identical_series(self):
         report = correlation_matrix({"a": [1, 2, 3, 4], "b": [5, 6, 7, 8]})
@@ -214,6 +247,30 @@ class TestCorrelationMatrix:
                     expected = spearman_rho_oracle(series[labels[i]], series[labels[j]])
                     assert report.rho[i][j] == pytest.approx(expected, abs=1e-12)
         assert report.n == 100
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 10, 30, 100, 1000, 20_000])
+    def test_flags_equal_the_exact_tail_rule(self, monkeypatch, n):
+        t_crit = t_critical(n - 2)
+        rhos = [1.0, -1.0]
+        for m in (*CRITICAL_MULTIPLES, 10.0):
+            t = t_crit * m
+            rho = t / math.sqrt(n - 2 + t * t)
+            rhos += [rho, -rho]
+        xs = list(range(n))
+        for rho in rhos:
+            monkeypatch.setattr(stats, "_pearson", lambda a, b, rho=rho: rho)
+            report = correlation_matrix({"a": xs, "b": xs, "c": xs})
+            expected = spearman(xs, xs)[1] < 0.01
+            flags = [report.significant_01[i][j] for i in range(3) for j in range(3) if i != j]
+            assert flags == [expected] * 6, (n, rho)
+
+    def test_logs_pairs_that_took_the_exact_tail(self, caplog):
+        rng = Random(14)
+        series = {f"s{i}": [rng.random() for _ in range(100)] for i in range(3)}
+        series["twin"] = [2 * v for v in series["s0"]]
+        with caplog.at_level(logging.INFO, logger="coauthnet.stats"):
+            correlation_matrix(series)
+        assert "significance: 5 of 6 pair(s) took the exact t tail" in caplog.messages
 
     def test_error_names_offending_pair(self):
         with pytest.raises(DataError, match=r"\(good, flat\)"):
