@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from ._csvtext import csv_text, format_number
+from ._csvtext import csv_text
 from .errors import ConfigError, DataError
 from .graph import CoauthGraph, _bfs
 
@@ -47,7 +47,6 @@ class RankTable:
     """
 
     rows: tuple[tuple[int, str, float], ...]
-    tie_rule: str = "score desc, author asc"
 
 
 def degree_centrality(g: CoauthGraph) -> CentralityVector:
@@ -150,11 +149,10 @@ def ordinal_ranks(scores: Mapping[str, float]) -> dict[str, int]:
 
 def render_vector_csv(cv: CentralityVector) -> str:
     """CSV ``author,measure,score`` with scores at 17 significant digits."""
-    rows = ([a, cv.measure, format_number(cv.scores[a])] for a in sorted(cv.scores))
+    rows = ([a, cv.measure, cv.scores[a]] for a in sorted(cv.scores))
     return csv_text(["author", "measure", "score"], rows)
 
 
 def render_rank_csv(table: RankTable) -> str:
     """CSV ``rank,author,score`` in table order."""
-    rows = ([rank, author, format_number(score)] for rank, author, score in table.rows)
-    return csv_text(["rank", "author", "score"], rows)
+    return csv_text(["rank", "author", "score"], table.rows)

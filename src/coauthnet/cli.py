@@ -342,7 +342,7 @@ def cmd_centrality(cfg: RunConfig) -> Outputs:
         files[f"top_{cv.measure}.csv"] = render_rank_csv(rank_table(cv, cfg.top_n))
         if cfg.histogram_bins:
             values = [cv.scores[v] for v in sorted(cv.scores)]
-            hist = histogram(values, bins=cfg.histogram_bins, normalized=True)
+            hist = histogram(values, bins=cfg.histogram_bins)
             files[f"hist_{cv.measure}.csv"] = render_histogram_csv(hist)
     return files, {}
 

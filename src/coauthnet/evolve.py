@@ -10,10 +10,10 @@ from __future__ import annotations
 import csv
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import IO, Iterable, Sequence
 
-from ._csvtext import csv_text, format_number
+from ._csvtext import csv_text
 from .errors import DataError, ParseError
 from .graph import CoauthGraph, build_graph, largest_component, mean_distance
 from .ingest import BiblioRecord, _lines
@@ -28,7 +28,6 @@ class TimeSlice:
     start_year: int
     end_year: int
     graph: CoauthGraph
-    records_in_slice: int
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,6 @@ def cumulative_slices(
                 start_year=start_year,
                 end_year=boundary,
                 graph=build_graph(chunk),
-                records_in_slice=len(chunk),
             )
         )
     return slices
@@ -105,7 +103,7 @@ def slice_report(ts: TimeSlice) -> SliceReport:
         start_year=ts.start_year,
         end_year=ts.end_year,
         authors=n,
-        papers=ts.records_in_slice,
+        papers=g.paper_count,
         mean_collaborators=2 * g.edge_count() / n,
         largest_size=len(largest),
         largest_ratio=ratio,
@@ -179,17 +177,4 @@ def render_slice_csv(reports: Iterable[SliceReport]) -> str:
         "largest_ratio",
         "largest_avg_distance",
     ]
-    rows = (
-        [
-            rep.start_year,
-            rep.end_year,
-            rep.authors,
-            rep.papers,
-            format_number(rep.mean_collaborators),
-            rep.largest_size,
-            format_number(rep.largest_ratio),
-            format_number(rep.largest_avg_distance),
-        ]
-        for rep in reports
-    )
-    return csv_text(header, rows)
+    return csv_text(header, (astuple(rep) for rep in reports))

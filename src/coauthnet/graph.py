@@ -8,11 +8,11 @@ and repeated runs are byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
-from ._csvtext import csv_text, format_number
+from ._csvtext import csv_text
 from .errors import DataError
 from .ingest import BiblioRecord, _dedupe
 
@@ -317,28 +317,8 @@ def summary_stats(g: CoauthGraph) -> SummaryStats:
 
 
 def render_summary_csv(stats: SummaryStats) -> str:
-    """One-row CSV with the summary statistics."""
-    header = [
-        "papers",
-        "authors",
-        "papers_per_author",
-        "authors_per_paper",
-        "avg_collaborators",
-        "largest_component_ratio",
-        "mean_distance",
-        "clustering_coefficient",
-    ]
-    row = [
-        stats.papers,
-        stats.authors,
-        format_number(stats.papers_per_author),
-        format_number(stats.authors_per_paper),
-        format_number(stats.avg_collaborators),
-        format_number(stats.largest_component_ratio),
-        format_number(stats.mean_distance),
-        format_number(stats.clustering_coefficient),
-    ]
-    return csv_text(header, [row])
+    """One-row CSV with the summary statistics, headed by their field names."""
+    return csv_text([f.name for f in fields(stats)], [astuple(stats)])
 
 
 def render_edge_list(g: CoauthGraph) -> str:

@@ -18,10 +18,10 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ._csvtext import csv_text, format_number
+from ._csvtext import csv_text
 from .centrality import CentralityVector, ordinal_ranks
 from .errors import DataError
 from .graph import CoauthGraph
@@ -63,7 +63,6 @@ class Histogram:
 
     bin_edges: tuple[float, ...]
     counts: tuple[int, ...]
-    normalized: bool
 
     def probabilities(self) -> tuple[float, ...]:
         total = sum(self.counts)
@@ -163,15 +162,16 @@ def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return sxy / math.sqrt(sxx * syy)
 
 
-def _rho_t(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float | None]:
-    """Spearman rho and its t statistic t = rho * sqrt((n-2) / (1-rho^2));
-    t is None for a perfect rho of +-1."""
-    n = len(xs)
-    if len(ys) != n:
-        raise DataError(f"spearman: length mismatch ({n} vs {len(ys)})")
+def _rho_t(rx: Sequence[float], ry: Sequence[float]) -> tuple[float, float | None]:
+    """Spearman rho of two series from their average ranks, and its t
+    statistic t = rho * sqrt((n-2) / (1-rho^2)); t is None for a perfect
+    rho of +-1."""
+    n = len(rx)
+    if len(ry) != n:
+        raise DataError(f"spearman: length mismatch ({n} vs {len(ry)})")
     if n < 3:
         raise DataError(f"spearman needs n >= 3, got {n}")
-    rho = _pearson(_average_ranks(xs), _average_ranks(ys))
+    rho = _pearson(rx, ry)
     if rho >= 1.0:
         return 1.0, None
     if rho <= -1.0:
@@ -209,7 +209,7 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     always the exact tail 2 * scipy.special.stdtr(n-2, -|t|); a perfect
     rho of +-1 yields p = 0 without loading scipy.
     """
-    rho, t_stat = _rho_t(xs, ys)
+    rho, t_stat = _rho_t(_average_ranks(xs), _average_ranks(ys))
     if t_stat is None:
         return rho, 0.0
     return rho, _t_tail(len(xs) - 2, t_stat)
@@ -224,8 +224,8 @@ def correlation_matrix(series: Mapping[str, Sequence[float]]) -> CorrelationRepo
     closed-form bound (``_log_p_bound``) already lies below 0.01 by a 1e-6
     margin in log space is flagged without the exact tail, so scipy loads
     only if some pair is not clearly significant; one INFO log line counts
-    the pairs that took the exact tail. Errors from an undefined pair are
-    re-raised naming the pair.
+    the pairs that took the exact tail. Each series is ranked once. Errors
+    from an undefined pair are re-raised naming the pair.
     """
     labels = tuple(series)
     if len(labels) < 2:
@@ -235,13 +235,14 @@ def correlation_matrix(series: Mapping[str, Sequence[float]]) -> CorrelationRepo
         raise DataError("correlation_matrix: series lengths differ")
     n = lengths.pop()
     k = len(labels)
+    ranks = [_average_ranks(series[label]) for label in labels]
     rho = [[1.0] * k for _ in range(k)]
     sig = [[True] * k for _ in range(k)]
     exact = 0
     for i in range(k):
         for j in range(i + 1, k):
             try:
-                r, t_stat = _rho_t(series[labels[i]], series[labels[j]])
+                r, t_stat = _rho_t(ranks[i], ranks[j])
             except DataError as exc:
                 raise DataError(f"pair ({labels[i]}, {labels[j]}): {exc}") from exc
             rho[i][j] = rho[j][i] = r
@@ -259,7 +260,7 @@ def correlation_matrix(series: Mapping[str, Sequence[float]]) -> CorrelationRepo
     )
 
 
-def histogram(values: Sequence[float], bins: int, normalized: bool = False) -> Histogram:
+def histogram(values: Sequence[float], bins: int) -> Histogram:
     """Equal-width histogram over [min, max].
 
     Interior bins are right-open; the last bin includes its right edge. A
@@ -272,7 +273,7 @@ def histogram(values: Sequence[float], bins: int, normalized: bool = False) -> H
     lo = float(min(values))
     hi = float(max(values))
     if lo == hi:
-        return Histogram(bin_edges=(lo, hi), counts=(len(values),), normalized=normalized)
+        return Histogram(bin_edges=(lo, hi), counts=(len(values),))
     edges = [lo + (hi - lo) * i / bins for i in range(bins + 1)]
     edges[0] = lo
     edges[-1] = hi
@@ -282,7 +283,7 @@ def histogram(values: Sequence[float], bins: int, normalized: bool = False) -> H
         if idx == bins:
             idx -= 1
         counts[idx] += 1
-    return Histogram(bin_edges=tuple(edges), counts=tuple(counts), normalized=normalized)
+    return Histogram(bin_edges=tuple(edges), counts=tuple(counts))
 
 
 def ranking_profile(
@@ -313,25 +314,13 @@ def ranking_profile(
 
 def render_fit_csv(fits: Iterable[tuple[str, PowerFit]]) -> str:
     """CSV ``series,coefficient,exponent,r_squared,n``."""
-    rows = (
-        [
-            name,
-            format_number(fit.coefficient),
-            format_number(fit.exponent),
-            format_number(fit.r_squared),
-            fit.n_points,
-        ]
-        for name, fit in fits
-    )
+    rows = ((name, *astuple(fit)) for name, fit in fits)
     return csv_text(["series", "coefficient", "exponent", "r_squared", "n"], rows)
 
 
 def render_correlation_csv(report: CorrelationReport) -> str:
     """Square rho matrix with row/column labels."""
-    rows = (
-        [label, *(format_number(x) for x in row)]
-        for label, row in zip(report.labels, report.rho)
-    )
+    rows = ((label, *row) for label, row in zip(report.labels, report.rho))
     return csv_text(["series", *report.labels], rows)
 
 
@@ -347,11 +336,7 @@ def render_significance_csv(report: CorrelationReport) -> str:
 def render_histogram_csv(hist: Histogram) -> str:
     """CSV ``bin_lo,bin_hi,count``."""
     edges = hist.bin_edges
-    rows = (
-        [format_number(lo), format_number(hi), count]
-        for lo, hi, count in zip(edges, edges[1:], hist.counts)
-    )
-    return csv_text(["bin_lo", "bin_hi", "count"], rows)
+    return csv_text(["bin_lo", "bin_hi", "count"], zip(edges, edges[1:], hist.counts))
 
 
 def render_profile_csv(profile: RankingProfile) -> str:

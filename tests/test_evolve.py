@@ -35,7 +35,7 @@ class TestCumulativeSlices:
             (1988, 2007),
         ]
         for earlier, later in zip(slices, slices[1:]):
-            assert earlier.records_in_slice <= later.records_in_slice
+            assert earlier.graph.paper_count <= later.graph.paper_count
             assert set(earlier.graph.vertices()) <= set(later.graph.vertices())
             for a, b, w in earlier.graph.edges():
                 assert later.graph.weight(a, b) >= w
@@ -43,7 +43,7 @@ class TestCumulativeSlices:
     def test_single_boundary_equal_to_start(self):
         records = [paper("R1", 1990, "A"), paper("R2", 1991, "B")]
         (ts,) = cumulative_slices(records, 1990, [1990])
-        assert ts.records_in_slice == 1
+        assert ts.graph.paper_count == 1
 
     def test_counts_match_year_filter_oracle(self):
         records = random_records(Random(6), n_records=60, years=(1990, 2005))
@@ -51,7 +51,7 @@ class TestCumulativeSlices:
         slices = cumulative_slices(records, 1990, boundaries)
         for ts, boundary in zip(slices, boundaries):
             expected = sum(1 for r in records if 1990 <= r.year <= boundary)
-            assert ts.records_in_slice == expected
+            assert ts.graph.paper_count == expected
 
     def test_final_slice_equals_whole_corpus_graph(self):
         records = random_records(Random(10), n_records=40, years=(1988, 2000))
@@ -65,7 +65,7 @@ class TestCumulativeSlices:
         records = [paper("R1", 1980, "A"), paper("R2", 1995, "B")]
         with caplog.at_level(logging.WARNING):
             slices = cumulative_slices(records, 1990, [1995])
-        assert slices[0].records_in_slice == 1
+        assert slices[0].graph.paper_count == 1
         assert "excluded 1 record(s)" in caplog.text
 
     def test_bad_boundaries_rejected(self):

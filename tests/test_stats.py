@@ -272,6 +272,20 @@ class TestCorrelationMatrix:
             correlation_matrix(series)
         assert "significance: 5 of 6 pair(s) took the exact t tail" in caplog.messages
 
+    def test_ranks_each_series_once(self, monkeypatch):
+        calls = []
+        average_ranks = stats._average_ranks
+
+        def counting(values):
+            calls.append(values)
+            return average_ranks(values)
+
+        monkeypatch.setattr(stats, "_average_ranks", counting)
+        rng = Random(14)
+        series = {f"s{i}": [rng.random() for _ in range(50)] for i in range(5)}
+        correlation_matrix(series)
+        assert len(calls) == 5
+
     def test_error_names_offending_pair(self):
         with pytest.raises(DataError, match=r"\(good, flat\)"):
             correlation_matrix({"good": [1, 2, 3], "flat": [7, 7, 7]})
@@ -312,7 +326,7 @@ class TestHistogram:
             assert count == len(members)
 
     def test_normalized_probabilities_sum_to_one(self):
-        hist = histogram([1, 2, 2, 3, 5], bins=4, normalized=True)
+        hist = histogram([1, 2, 2, 3, 5], bins=4)
         assert sum(hist.probabilities()) == pytest.approx(1.0, abs=1e-9)
 
     def test_rejections(self):
