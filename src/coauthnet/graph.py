@@ -28,6 +28,8 @@ class CoauthGraph:
     ``neighbors()`` always return lexicographically ordered lists. ``_fill``
     alone stores this form, for every graph (constructed, built from records
     or induced): each row ascending, each row key one of ``_index``'s ints.
+    Constructed and built graphs reach it through ``_ascending``; an induced
+    graph's rows are its parent's rows relabeled in order, so already are.
     ``paper_count`` and ``authorship_count`` describe the record set a graph
     was built from; derived subgraphs reset them to 0.
 
@@ -57,20 +59,11 @@ class CoauthGraph:
                 if i == j or rows[j].get(i) != w or not w > 0:
                     raise DataError(f"edge {names[i]!r}-{names[j]!r} needs distinct ends and one "
                                     f"positive weight both ways, got {w!r} and {rows[j].get(i)!r}")
-        self._fill(names, index, rows, paper_count, authorship_count)
+        self._fill(names, index, _ascending(index, rows), paper_count, authorship_count)
 
-    def _fill(self, names: list[str], index: dict[str, int], rows: list[dict[int, int]],
+    def _fill(self, names: list[str], index: dict[str, int], adj: list[dict[int, int]],
               paper_count: int = 0, authorship_count: int = 0) -> "CoauthGraph":
-        """Store sorted names, their index and symmetric rows keyed by index.
-
-        Arc i -> j lands at ``_adj[j][i]``: read in index order, each row fills
-        ascending without a sort. Each input row is dropped once read.
-        """
-        adj: list[dict[int, int]] = [{} for _ in names]
-        for i in index.values():  # one int object per index, shared by all rows
-            row, rows[i] = rows[i], None
-            for j, w in row.items():
-                adj[j][i] = w
+        """Store sorted names, their index and rows in ascending index order."""
         self._names, self._index, self._adj = names, index, adj
         self.paper_count, self.authorship_count = paper_count, authorship_count
         return self
@@ -132,13 +125,44 @@ class CoauthGraph:
             raise DataError(f"unknown vertices in induced(): {sorted(unknown)[:3]}")
         return self._induced(sorted(self._index[v] for v in kept))
 
-    def _induced(self, old: list[int]) -> "CoauthGraph":
-        """Subgraph on the ascending vertex indices ``old``."""
+    def _induced(self, old: list[int], closed: bool = False) -> "CoauthGraph":
+        """Subgraph on the ascending vertex indices ``old``.
+
+        ``closed`` promises that no vertex of ``old`` has a neighbour outside
+        it (a union of components), so no arc needs the membership filter.
+        The relabeling is monotone, so every row stays ascending.
+        """
         names = [self._names[i] for i in old]
         index = {v: i for i, v in enumerate(names)}
         new = dict(zip(old, index.values()))  # old index -> new, as the index's ints
-        rows = [{new[j]: w for j, w in self._adj[i].items() if j in new} for i in old]
+        adj = self._adj
+        if closed:
+            rows = [{new[j]: w for j, w in adj[i].items()} for i in old]
+        else:
+            rows = [{new[j]: w for j, w in adj[i].items() if j in new} for i in old]
         return CoauthGraph.__new__(CoauthGraph)._fill(names, index, rows)
+
+
+def _ascending(index: dict[str, int], rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Symmetric rows re-keyed in ascending index order.
+
+    Arc i -> j lands at ``adj[j][i]``: read in index order, each row fills
+    ascending without a sort. Each input row is dropped once read.
+    """
+    adj: list[dict[int, int]] = [{} for _ in rows]
+    for i in index.values():  # one int object per index, shared by all rows
+        row, rows[i] = rows[i], None
+        for j, w in row.items():
+            adj[j][i] = w
+    return adj
+
+
+#: Largest number of distinct authors one record may have. A record with k
+#: authors adds k(k-1)/2 author pairs to a graph build (1,000 authors: about
+#: 500,000 pairs and 50 MB), so a larger team is refused before any pair is
+#: counted. The largest team in the test fixture has 3 authors, and in the
+#: paper-scale benchmark corpus 12.
+MAX_TEAM_SIZE = 1000
 
 
 def build_graph(records: Iterable[BiblioRecord]) -> CoauthGraph:
@@ -148,8 +172,17 @@ def build_graph(records: Iterable[BiblioRecord]) -> CoauthGraph:
     single-author record contributes an isolated vertex. Author names are
     expected normalized and merged; repeated keys within one record are
     collapsed defensively so no self-loop can arise.
+
+    Raises DataError, naming the record, when a record has more than
+    ``MAX_TEAM_SIZE`` distinct authors; no pair is counted before that check.
     """
-    teams = [_dedupe(rec.authors) for rec in records]
+    teams = []
+    for rec in records:
+        team = _dedupe(rec.authors)
+        if len(team) > MAX_TEAM_SIZE:
+            raise DataError(f"record {rec.record_id!r} has {len(team)} distinct authors, "
+                            f"more than the {MAX_TEAM_SIZE} a graph build accepts")
+        teams.append(team)
     names = sorted({v for team in teams for v in team})
     index = {v: i for i, v in enumerate(names)}
     rows: list[dict[int, int]] = [{} for _ in names]
@@ -158,7 +191,7 @@ def build_graph(records: Iterable[BiblioRecord]) -> CoauthGraph:
             rows[a][b] = rows[a].get(b, 0) + 1
             rows[b][a] = rows[b].get(a, 0) + 1
     g = CoauthGraph.__new__(CoauthGraph)
-    return g._fill(names, index, rows, len(teams), sum(map(len, teams)))
+    return g._fill(names, index, _ascending(index, rows), len(teams), sum(map(len, teams)))
 
 
 @dataclass(frozen=True)
@@ -208,7 +241,7 @@ def largest_component(g: CoauthGraph) -> tuple[CoauthGraph, float]:
     if len(g) == 0:
         raise DataError("largest_component: graph has no vertices")
     group = _component_groups(g)[0]
-    return g._induced(sorted(group)), len(group) / len(g)
+    return g._induced(sorted(group), closed=True), len(group) / len(g)
 
 
 def _bfs(adj: list[dict[int, int]], s: int) -> tuple[list[int], list[int]]:

@@ -5,8 +5,9 @@ filters them by document type, normalizes author names into canonical
 ``"SURNAME, INITIALS"`` keys, applies user-supplied author merge maps, and
 aggregates per-author citation counts.
 
-All operations are pure: they take record lists and return new record lists,
-never mutating their inputs.
+All operations are pure: they take record lists and return new lists, never
+mutating their inputs. Records are frozen, so an output list may share a
+record with its input wherever the step leaves that record unchanged.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 import csv
 import io
 import logging
-import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping
 
 from .errors import ConfigError, DataError, ParseError
@@ -31,8 +31,6 @@ DEFAULT_DOC_TYPES = ("Article", "Review")
 
 YEAR_MIN = 1900
 YEAR_MAX = 2100
-
-_WHITESPACE = re.compile(r"\s+")
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,9 @@ def normalize_author(raw: str) -> str:
     """
     if raw is None or not raw.strip():
         raise DataError("author name is empty")
-    text = _WHITESPACE.sub(" ", raw.upper().replace(".", "")).strip()
+    # every part below is re-joined from str.split(), which collapses and
+    # strips whitespace runs on its own
+    text = raw.upper().replace(".", "")
     if "," in text:
         surname, _, rest = text.partition(",")
         initials = rest.replace(",", " ")
@@ -129,6 +129,8 @@ def parse_records(stream: str | IO[str] | Iterable[str]) -> list[BiblioRecord]:
     if missing:
         raise ParseError("malformed header: missing column(s) " + ", ".join(missing))
 
+    ut, au, py, dt, tc, so = (columns[c] for c in REQUIRED_COLUMNS)
+    width = len(header)
     records: list[BiblioRecord] = []
     seen: dict[str, int] = {}
     skipped_anonymous = 0
@@ -137,21 +139,19 @@ def parse_records(stream: str | IO[str] | Iterable[str]) -> list[BiblioRecord]:
         if not line.strip():
             continue
         fields = line.split("\t")
-        if len(fields) != len(header):
-            raise ParseError(
-                f"line {line_no}: expected {len(header)} fields, found {len(fields)}"
-            )
-        authors = tuple(a.strip() for a in fields[columns["AU"]].split(";") if a.strip())
+        if len(fields) != width:
+            raise ParseError(f"line {line_no}: expected {width} fields, found {len(fields)}")
+        authors = tuple([a for a in map(str.strip, fields[au].split(";")) if a])
         if not authors:
             skipped_anonymous += 1
             continue
-        year = _int_field(fields[columns["PY"]], "PY", line_no)
+        year = _int_field(fields[py], "PY", line_no)
         if not YEAR_MIN <= year <= YEAR_MAX:
             raise ParseError(f"line {line_no}: year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
-        times_cited = _int_field(fields[columns["TC"]], "TC", line_no)
+        times_cited = _int_field(fields[tc], "TC", line_no)
         if times_cited < 0:
             raise ParseError(f"line {line_no}: negative citation count {times_cited}")
-        record_id = fields[columns["UT"]].strip()
+        record_id = fields[ut].strip()
         if not record_id:
             raise ParseError(f"line {line_no}: empty record id")
         if record_id in seen:
@@ -160,16 +160,8 @@ def parse_records(stream: str | IO[str] | Iterable[str]) -> list[BiblioRecord]:
                 f"(first seen at line {seen[record_id]})"
             )
         seen[record_id] = line_no
-        records.append(
-            BiblioRecord(
-                record_id=record_id,
-                authors=authors,
-                year=year,
-                doc_type=fields[columns["DT"]].strip(),
-                times_cited=times_cited,
-                source=fields[columns["SO"]].strip(),
-            )
-        )
+        records.append(BiblioRecord(record_id, authors, year, fields[dt].strip(),
+                                    times_cited, fields[so].strip()))
     if skipped_anonymous:
         logger.warning("skipped %d record(s) with no parseable authors", skipped_anonymous)
     return records
@@ -220,11 +212,21 @@ def filter_documents(
 
 
 def normalize_records(records: Iterable[BiblioRecord]) -> list[BiblioRecord]:
-    """Normalize every author name and collapse within-paper duplicates."""
+    """Normalize every author name and collapse within-paper duplicates.
+
+    Each distinct raw name is normalized once per call.
+    """
+    keys: dict[str, str] = {}
     out = []
     for rec in records:
-        keys = _dedupe(normalize_author(a) for a in rec.authors)
-        out.append(replace(rec, authors=keys))
+        team = []
+        for raw in rec.authors:
+            key = keys.get(raw)
+            if key is None:
+                key = keys[raw] = normalize_author(raw)
+            team.append(key)
+        out.append(BiblioRecord(rec.record_id, _dedupe(team), rec.year, rec.doc_type,
+                                rec.times_cited, rec.source))
     return out
 
 
@@ -308,12 +310,17 @@ def apply_merge_map(
     """Replace variant author keys with their canonical key.
 
     Expects author names already normalized. When merging makes two authors
-    of one paper identical they collapse to a single occurrence.
+    of one paper identical they collapse to a single occurrence. A record
+    with no variant among its authors is passed through as it is.
     """
+    variants = merge_map.entries.keys()
     out = []
     for rec in records:
-        mapped = _dedupe(merge_map.resolve(a) for a in rec.authors)
-        out.append(replace(rec, authors=mapped))
+        if not variants.isdisjoint(rec.authors):
+            mapped = _dedupe(map(merge_map.resolve, rec.authors))
+            rec = BiblioRecord(rec.record_id, mapped, rec.year, rec.doc_type,
+                               rec.times_cited, rec.source)
+        out.append(rec)
     return out
 
 

@@ -10,14 +10,16 @@ of hand-rolled arithmetic.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter, defaultdict, deque
+from dataclasses import replace
 from itertools import combinations
 from random import Random
 
 import numpy as np
 from scipy.stats import rankdata
 
-from coauthnet import BiblioRecord, CoauthGraph
+from coauthnet import AuthorMergeMap, BiblioRecord, CoauthGraph, DataError, normalize_author
 
 INF = float("inf")
 
@@ -93,6 +95,38 @@ def random_records(
 # ---------------------------------------------------------------------------
 # Ingest / graph-building oracles
 # ---------------------------------------------------------------------------
+
+
+def reference_normalize_author(raw: str) -> str:
+    """normalize_author with whitespace runs collapsed up front by a regex,
+    before the name is split into surname and initials."""
+    if raw is None or not raw.strip():
+        raise DataError("author name is empty")
+    text = re.sub(r"\s+", " ", raw.upper().replace(".", "")).strip()
+    if "," in text:
+        surname, _, rest = text.partition(",")
+        initials = rest.replace(",", " ")
+    else:
+        tokens = text.split()
+        surname = " ".join(tokens[:-1]) if len(tokens) > 1 else "".join(tokens)
+        initials = tokens[-1] if len(tokens) > 1 else ""
+    surname, initials = " ".join(surname.split()), " ".join(initials.split())
+    if not surname and not initials:
+        raise DataError(f"author name {raw!r} has no usable content")
+    return f"{surname}, {initials}".rstrip()
+
+
+def reference_normalize(records) -> list[BiblioRecord]:
+    """normalize_records without a memo: every authorship is normalized on
+    its own, and every record is rebuilt through dataclasses.replace."""
+    return [replace(r, authors=tuple(dict.fromkeys(normalize_author(a) for a in r.authors)))
+            for r in records]
+
+
+def reference_merge(records, merge_map: AuthorMergeMap) -> list[BiblioRecord]:
+    """apply_merge_map that rewrites every record, variant or not."""
+    return [replace(r, authors=tuple(dict.fromkeys(merge_map.resolve(a) for a in r.authors)))
+            for r in records]
 
 
 def pair_cooccurrence(records) -> dict[tuple[str, str], int]:

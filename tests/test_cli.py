@@ -103,6 +103,16 @@ class TestStatsCommand:
         assert code == 2
         assert "no records after filtering" in caplog.text
 
+    def test_oversized_team_exits_2_naming_record(self, tmp_path, caplog):
+        team = "; ".join(f"AUTHOR{i:04d}, X" for i in range(1001))
+        corpus = tmp_path / "big.tsv"
+        corpus.write_text(PATH_CORPUS + f"W3\t{team}\t1992\tArticle\t1\tJ\n", encoding="utf-8")
+        with caplog.at_level(logging.ERROR):
+            code = run("stats", "--input", str(corpus), "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert "record 'W3' has 1001 distinct authors" in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_input_file_not_mutated(self, tmp_path):
         before = hashlib.sha256(Path(FIXTURE).read_bytes()).hexdigest()
         run("stats", "--input", FIXTURE, "--output-dir", str(tmp_path / "out"))

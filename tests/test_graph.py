@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from itertools import combinations
 from random import Random
 
@@ -19,6 +20,7 @@ from coauthnet import (
     shortest_path_lengths,
     summary_stats,
 )
+from coauthnet import graph as graph_module
 from coauthnet.graph import render_edge_list, render_isolated_vertices
 from oracles import (
     clustering_oracle,
@@ -127,6 +129,36 @@ class TestBuildGraph:
     def test_induced_unknown_vertex_rejected(self):
         with pytest.raises(DataError):
             path_graph(3).induced({"nope"})
+
+
+class TestTeamBound:
+    def test_bound_counts_distinct_authors(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "MAX_TEAM_SIZE", 3)
+        assert build_graph([paper("R1", "A", "B", "C", "A")]).edge_count() == 3
+        with pytest.raises(DataError, match="record 'R2' has 4 distinct authors, more than the 3"):
+            build_graph([paper("R1", "A", "B"), paper("R2", "A", "B", "C", "D")])
+
+    def test_large_teams_rejected_before_any_pair_in_like_time(self, monkeypatch):
+        """A record of k authors has k(k-1)/2 pairs; the bound is checked
+        before any record's pairs are counted, so 20,000 authors are turned
+        away about as fast as 2,000."""
+        def no_pairs(*args):
+            raise AssertionError("a pair was counted")
+
+        monkeypatch.setattr(graph_module, "combinations", no_pairs)
+        small = [paper(f"S{i}", f"X{i}", f"X{i + 1}") for i in range(5000)]
+
+        def reject(k: int) -> float:
+            records = small + [paper("BIG", *(f"A{i:05d}" for i in range(k)))]
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                with pytest.raises(DataError, match=f"record 'BIG' has {k} distinct authors"):
+                    build_graph(records)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        assert reject(20000) < 4 * reject(2000)
 
 
 class TestConnectedComponents:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
+from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coauthnet import (
@@ -21,7 +23,13 @@ from coauthnet import (
     parse_records,
     serialize_records,
 )
-from oracles import citation_scan, random_records
+from oracles import (
+    citation_scan,
+    random_records,
+    reference_merge,
+    reference_normalize,
+    reference_normalize_author,
+)
 
 HEADER = "UT\tAU\tPY\tDT\tTC\tSO"
 
@@ -196,6 +204,17 @@ class TestNormalizeAuthor:
         assert normalize_author(once) == once
         assert once.count(",") == 1
 
+    @given(st.text(alphabet=st.sampled_from("aB., \t\n\r\x0b\x1c\x85\xa0\u2003\u3000;"
+                                            "\u00df\u0130"), max_size=16))
+    def test_equals_regex_form(self, raw):
+        try:
+            expected = reference_normalize_author(raw)
+        except DataError:
+            with pytest.raises(DataError):
+                normalize_author(raw)
+            return
+        assert normalize_author(raw) == expected
+
 
 class TestMergeMap:
     def test_variant_replaced(self):
@@ -239,6 +258,86 @@ class TestMergeMap:
     def test_csv_wrong_column_count(self):
         with pytest.raises(ConfigError, match="line 1"):
             AuthorMergeMap.from_csv('"A, X","B, X","C, X"\n')
+
+
+# Persons by canonical key, and raw spellings that normalize onto each key.
+PERSONS = ("MEHO, LI", "YANG, K", "SALTON, G", "BUCKLEY, C", "DING, Y", "WHITE, HD")
+SPELLINGS = (
+    lambda k: k,
+    lambda k: k.lower(),
+    lambda k: k.replace(", ", ",  ") + " ",
+    lambda k: k.title() + ".",
+    lambda k: k.replace(",", ""),
+)
+
+
+def team_strategy():
+    member = st.tuples(st.integers(0, len(PERSONS) - 1), st.integers(0, len(SPELLINGS) - 1))
+    return st.lists(member, min_size=1, max_size=5)
+
+
+def ingest_records(teams: list[list[tuple[int, int]]]) -> list[BiblioRecord]:
+    return [
+        make_record(record_id=f"R{i}", authors=tuple(SPELLINGS[s](PERSONS[p]) for p, s in team))
+        for i, team in enumerate(teams)
+    ]
+
+
+class TestIngestEquivalence:
+    """normalize_records and apply_merge_map equal the per-authorship,
+    replace-everything oracles, and leave their inputs as they were."""
+
+    @staticmethod
+    def check(records: list[BiblioRecord], merge: AuthorMergeMap) -> list[BiblioRecord]:
+        given = [replace(r) for r in records]
+        normalized = normalize_records(records)
+        normalized_given = [replace(r) for r in normalized]
+        merged = apply_merge_map(normalized, merge)
+        assert records == given and normalized == normalized_given
+        assert normalized == reference_normalize(records)
+        assert merged == reference_merge(normalized, merge)
+        return merged
+
+    def test_fixture(self):
+        data = Path(__file__).parent / "data"
+        records = filter_documents(
+            parse_records((data / "fixture_corpus.tsv").read_text(encoding="utf-8")),
+            {"Article", "Review"},
+        )
+        merge = AuthorMergeMap.from_csv((data / "merge_map.csv").read_text(encoding="utf-8"))
+        merged = self.check(records, merge)
+        assert merged != normalize_records(records)  # the fixture's map fires
+
+    def test_repeats_canonical_chains_and_collapse(self):
+        records = ingest_records([
+            [(0, 1), (1, 0)],  # MEHO spelled in lower case, YANG already canonical
+            [(0, 3), (2, 2)],  # MEHO again, in another record and spelling
+            [(2, 0), (3, 4)],  # SALTON maps to BUCKLEY, which maps to DING
+            [(3, 0), (2, 1), (4, 0)],  # all three collapse onto DING
+            [(5, 0)],  # a single canonical author, untouched
+        ])
+        merge = AuthorMergeMap.from_pairs([(PERSONS[2], PERSONS[3]), (PERSONS[3], PERSONS[4])])
+        merged = self.check(records, merge)
+        assert [r.authors for r in merged] == [
+            ("MEHO, LI", "YANG, K"), ("MEHO, LI", "DING, Y"), ("DING, Y",), ("DING, Y",),
+            ("WHITE, HD",),
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        teams=st.lists(team_strategy(), max_size=8),
+        links=st.dictionaries(st.integers(0, len(PERSONS) - 2), st.integers(1, len(PERSONS) - 1)),
+    )
+    def test_generated(self, teams, links):
+        # a variant maps only to a later person, so chains end and never cycle
+        pairs = [(PERSONS[i], PERSONS[j]) for i, j in links.items() if j > i]
+        self.check(ingest_records(teams), AuthorMergeMap.from_pairs(pairs))
+
+    def test_unchanged_records_are_shared(self):
+        records = normalize_records(ingest_records([[(0, 0)], [(1, 0), (2, 0)]]))
+        merged = apply_merge_map(records, AuthorMergeMap.from_pairs([(PERSONS[2], PERSONS[3])]))
+        assert merged[0] is records[0]
+        assert merged[1] is not records[1] and merged[1].authors == ("YANG, K", "BUCKLEY, C")
 
 
 class TestAuthorCitations:
