@@ -125,21 +125,16 @@ class CoauthGraph:
             raise DataError(f"unknown vertices in induced(): {sorted(unknown)[:3]}")
         return self._induced(sorted(self._index[v] for v in kept))
 
-    def _induced(self, old: list[int], closed: bool = False) -> "CoauthGraph":
+    def _induced(self, old: list[int]) -> "CoauthGraph":
         """Subgraph on the ascending vertex indices ``old``.
 
-        ``closed`` promises that no vertex of ``old`` has a neighbour outside
-        it (a union of components), so no arc needs the membership filter.
         The relabeling is monotone, so every row stays ascending.
         """
         names = [self._names[i] for i in old]
         index = {v: i for i, v in enumerate(names)}
         new = dict(zip(old, index.values()))  # old index -> new, as the index's ints
         adj = self._adj
-        if closed:
-            rows = [{new[j]: w for j, w in adj[i].items()} for i in old]
-        else:
-            rows = [{new[j]: w for j, w in adj[i].items() if j in new} for i in old]
+        rows = [{new[j]: w for j, w in adj[i].items() if j in new} for i in old]
         return CoauthGraph.__new__(CoauthGraph)._fill(names, index, rows)
 
 
@@ -241,7 +236,7 @@ def largest_component(g: CoauthGraph) -> tuple[CoauthGraph, float]:
     if len(g) == 0:
         raise DataError("largest_component: graph has no vertices")
     group = _component_groups(g)[0]
-    return g._induced(sorted(group), closed=True), len(group) / len(g)
+    return g._induced(sorted(group)), len(group) / len(g)
 
 
 def _bfs(adj: list[dict[int, int]], s: int) -> tuple[list[int], list[int]]:

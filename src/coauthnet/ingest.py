@@ -129,7 +129,8 @@ def parse_records(stream: str | IO[str] | Iterable[str]) -> list[BiblioRecord]:
     if missing:
         raise ParseError("malformed header: missing column(s) " + ", ".join(missing))
 
-    ut, au, py, dt, tc, so = (columns[c] for c in REQUIRED_COLUMNS)
+    ut, au, py = columns["UT"], columns["AU"], columns["PY"]
+    dt, tc, so = columns["DT"], columns["TC"], columns["SO"]
     width = len(header)
     records: list[BiblioRecord] = []
     seen: dict[str, int] = {}
@@ -160,8 +161,9 @@ def parse_records(stream: str | IO[str] | Iterable[str]) -> list[BiblioRecord]:
                 f"(first seen at line {seen[record_id]})"
             )
         seen[record_id] = line_no
-        records.append(BiblioRecord(record_id, authors, year, fields[dt].strip(),
-                                    times_cited, fields[so].strip()))
+        records.append(BiblioRecord(
+            record_id=record_id, authors=authors, year=year, doc_type=fields[dt].strip(),
+            times_cited=times_cited, source=fields[so].strip()))
     if skipped_anonymous:
         logger.warning("skipped %d record(s) with no parseable authors", skipped_anonymous)
     return records
@@ -225,8 +227,9 @@ def normalize_records(records: Iterable[BiblioRecord]) -> list[BiblioRecord]:
             if key is None:
                 key = keys[raw] = normalize_author(raw)
             team.append(key)
-        out.append(BiblioRecord(rec.record_id, _dedupe(team), rec.year, rec.doc_type,
-                                rec.times_cited, rec.source))
+        out.append(BiblioRecord(
+            record_id=rec.record_id, authors=_dedupe(team), year=rec.year,
+            doc_type=rec.doc_type, times_cited=rec.times_cited, source=rec.source))
     return out
 
 
@@ -309,17 +312,20 @@ def apply_merge_map(
 ) -> list[BiblioRecord]:
     """Replace variant author keys with their canonical key.
 
-    Expects author names already normalized. When merging makes two authors
-    of one paper identical they collapse to a single occurrence. A record
-    with no variant among its authors is passed through as it is.
+    Expects the output of :func:`normalize_records`: author names normalized
+    and each record's authors already deduplicated. When merging makes two
+    authors of one paper identical they collapse to a single occurrence. A
+    record with no variant among its authors is passed through as it is, so
+    repeated authors in an input that skipped normalization stay repeated.
     """
     variants = merge_map.entries.keys()
     out = []
     for rec in records:
         if not variants.isdisjoint(rec.authors):
             mapped = _dedupe(map(merge_map.resolve, rec.authors))
-            rec = BiblioRecord(rec.record_id, mapped, rec.year, rec.doc_type,
-                               rec.times_cited, rec.source)
+            rec = BiblioRecord(
+                record_id=rec.record_id, authors=mapped, year=rec.year,
+                doc_type=rec.doc_type, times_cited=rec.times_cited, source=rec.source)
         out.append(rec)
     return out
 
