@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Mapping
 
 from ._csvtext import csv_text
@@ -51,7 +52,7 @@ class RankTable:
 
 def degree_centrality(g: CoauthGraph) -> CentralityVector:
     """Number of distinct neighbors of each vertex."""
-    return CentralityVector("degree", {v: g.degree(v) for v in g.vertices()})
+    return CentralityVector("degree", dict(zip(g._names, map(len, g._adj))))
 
 
 def closeness_centrality(g: CoauthGraph) -> CentralityVector:
@@ -133,16 +134,16 @@ def rank_table(cv: CentralityVector, top_n: int) -> RankTable:
     """Top-N rows sorted by score descending, author ascending on ties."""
     if top_n < 1:
         raise DataError(f"top_n must be >= 1, got {top_n}")
-    ordered = sorted(cv.scores.items(), key=lambda item: (-item[1], item[0]))
-    rows = tuple(
-        (rank, author, score)
-        for rank, (author, score) in enumerate(ordered[:top_n], start=1)
-    )
-    return RankTable(rows=rows)
+    ranks = islice(ordinal_ranks(cv.scores).items(), top_n)
+    return RankTable(rows=tuple((rank, author, cv.scores[author]) for author, rank in ranks))
 
 
 def ordinal_ranks(scores: Mapping[str, float]) -> dict[str, int]:
-    """Ordinal rank (1 = best) of every key under rank_table ordering."""
+    """Ordinal rank (1 = best) of every key: score descending, key ascending on ties.
+
+    The dict comes back in rank order. This is the one place that order is
+    decided; rank_table and ranking_profile read it.
+    """
     ordered = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
     return {key: rank for rank, (key, _) in enumerate(ordered, start=1)}
 

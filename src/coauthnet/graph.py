@@ -202,28 +202,16 @@ class ComponentPartition:
 
 
 def _component_groups(g: CoauthGraph) -> list[list[int]]:
-    """Components as index groups by flood fill: largest first, ties by smallest index."""
-    adj = g._adj
-    seen = bytearray(len(adj))
-    members: list[list[int]] = []
-    for start in range(len(adj)):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        group = [start]
-        for v in group:  # group doubles as the FIFO queue
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = 1
-                    group.append(u)
-        members.append(group)
+    """Components as index groups, one _bfs each: largest first, ties by smallest index."""
+    dist = [-1] * len(g._adj)
+    members = [_bfs(g._adj, s, dist)[0] for s in range(len(dist)) if dist[s] < 0]
     # a group's first member is its smallest index, hence its smallest key
     members.sort(key=lambda group: (-len(group), group[0]))
     return members
 
 
 def connected_components(g: CoauthGraph) -> ComponentPartition:
-    """Label connected components by flood fill in index order."""
+    """Label connected components, one _bfs per unreached vertex in index order."""
     names, groups = g._names, _component_groups(g)
     return ComponentPartition(
         assignment={names[v]: cid for cid, group in enumerate(groups) for v in group},
@@ -239,15 +227,19 @@ def largest_component(g: CoauthGraph) -> tuple[CoauthGraph, float]:
     return g._induced(sorted(group)), len(group) / len(g)
 
 
-def _bfs(adj: list[dict[int, int]], s: int) -> tuple[list[int], list[int]]:
+def _bfs(adj: list[dict[int, int]], s: int,
+         dist: list[int] | None = None) -> tuple[list[int], list[int]]:
     """Hop distances from s over a graph's integer adjacency (``g._adj``).
 
     Returns the vertices in BFS visiting order (s first, neighbours in
-    index order) and the distance of every index, -1 when unreachable.
+    index order) and the distances, -1 where unreached. A given ``dist`` is
+    filled in place and the search enters no vertex it already reaches, so
+    component labeling shares one list across its searches.
     The exact per-source loops and mean_distance's connectivity check run
     on it; the numpy sweep behind the distance measures equals it.
     """
-    dist = [-1] * len(adj)
+    if dist is None:
+        dist = [-1] * len(adj)
     dist[s] = 0
     order = [s]
     for v in order:  # order doubles as the FIFO queue
@@ -360,4 +352,4 @@ def render_edge_list(g: CoauthGraph) -> str:
 
 def render_isolated_vertices(g: CoauthGraph) -> str:
     """Degree-0 vertices, one per line, sorted."""
-    return "".join(f"{v}\n" for v in g.vertices() if g.degree(v) == 0)
+    return "".join(f"{v}\n" for v, row in zip(g._names, g._adj) if not row)

@@ -33,7 +33,7 @@ YEAR_MIN = 1900
 YEAR_MAX = 2100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BiblioRecord:
     """One publication as exported from a bibliographic database.
 
@@ -290,7 +290,9 @@ class AuthorMergeMap:
 
         Lines starting with ``#`` and blank lines are ignored; there is no
         header. Names containing commas must be quoted, e.g.
-        ``"Meho, L","Meho, LI"``.
+        ``"Meho, L","Meho, LI"``. Raises ConfigError naming the line for a
+        row without exactly two names or with a name that has no usable
+        content.
         """
         pairs = []
         for line_no, line in enumerate(_lines(stream), start=1):
@@ -303,7 +305,10 @@ class AuthorMergeMap:
                 raise ConfigError(
                     f"merge map line {line_no}: expected 2 columns, found {len(cells)}"
                 )
-            pairs.append((cells[0], cells[1]))
+            try:
+                pairs.append((normalize_author(cells[0]), normalize_author(cells[1])))
+            except DataError as exc:
+                raise ConfigError(f"merge map line {line_no}: {exc}") from None
         return cls.from_pairs(pairs)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import astuple, dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -121,10 +122,7 @@ def degree_distribution(g: CoauthGraph) -> list[tuple[int, float]]:
     n = len(g)
     if n == 0:
         raise DataError("degree_distribution: empty graph")
-    counts: dict[int, int] = {}
-    for v in g.vertices():
-        k = g.degree(v)
-        counts[k] = counts.get(k, 0) + 1
+    counts = Counter(map(len, g._adj))
     if set(counts) == {0}:
         raise DataError("degree_distribution: every vertex is isolated")
     return [(k, counts[k] / n) for k in sorted(counts) if k >= 1]
@@ -307,8 +305,7 @@ def ranking_profile(
     rank_maps = [ordinal_ranks(baseline.scores)]
     rank_maps.extend(ordinal_ranks(cv.scores) for cv in others)
     rank_maps.append(ordinal_ranks(citations))
-    by_baseline = sorted(vertex_set, key=lambda v: rank_maps[0][v])
-    rows = tuple((v, tuple(ranks[v] for ranks in rank_maps)) for v in by_baseline)
+    rows = tuple((v, tuple(ranks[v] for ranks in rank_maps)) for v in rank_maps[0])
     return RankingProfile(columns=columns, rows=rows)
 
 

@@ -425,6 +425,16 @@ class TestCliPlumbing:
         assert f"{what} {bad}: not valid UTF-8 at byte offset 6" in caplog.text
         assert not (tmp_path / "o").exists()
 
+    def test_merge_map_name_without_content_exits_1_naming_line(self, tmp_path, caplog):
+        merge_map = tmp_path / "merge.csv"
+        merge_map.write_text('# variants\n"Meho, L","Meho, LI"\n". ,","Yang, K"\n',
+                             encoding="utf-8")
+        with caplog.at_level(logging.ERROR):
+            assert run("stats", "--input", FIXTURE, "--merge-map", str(merge_map),
+                       "--output-dir", str(tmp_path / "o")) == 1
+        assert "merge map line 3: author name '. ,' has no usable content" in caplog.text
+        assert not (tmp_path / "o").exists()
+
     def test_nan_tol_exits_1_before_loading_corpus(self, tmp_path, caplog):
         with caplog.at_level(logging.INFO):
             assert run("centrality", "--input", FIXTURE, "--output-dir",

@@ -28,6 +28,7 @@ from oracles import (
     label_propagation_components,
     mean_distance_oracle,
     pair_cooccurrence,
+    random_coauthor_graph,
     random_graph,
     random_records,
     stored_form,
@@ -180,8 +181,10 @@ class TestConnectedComponents:
         assert parts.assignment["A"] == 1 and parts.assignment["C"] == 2
 
     def test_matches_label_propagation_oracle(self):
-        for seed in range(20):
-            g = random_graph(Random(seed), min_n=5, max_n=30)
+        graphs = [random_graph(Random(seed), min_n=5, max_n=30) for seed in range(20)]
+        # many isolated vertices and small components, interleaved in key order
+        graphs.append(random_coauthor_graph(Random(20), (6, 3, 3, 2, 2, 2) + (1,) * 15))
+        for g in graphs:
             parts = connected_components(g)
             labels = label_propagation_components(g)
             for u in g.vertices():
@@ -189,6 +192,9 @@ class TestConnectedComponents:
                     assert (labels[u] == labels[v]) == (
                         parts.assignment[u] == parts.assignment[v]
                     )
+            # ids go by size, then by smallest member key, the oracle's label
+            order = {cid: (-parts.sizes[cid], labels[v]) for v, cid in parts.assignment.items()}
+            assert [order[cid] for cid in sorted(order)] == sorted(order.values())
 
     def test_partition_sizes_sum_to_vertex_count(self):
         g = random_graph(Random(4), max_n=20)

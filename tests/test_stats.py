@@ -379,6 +379,23 @@ class TestRankingProfile:
         for author, ranks in profile.rows:
             assert ranks[2] == cit_ranks[author]
 
+    def test_heavy_ties_follow_the_ordinal_rank_order(self):
+        rng = Random(663)
+        keys = [f"A{i:03d}" for i in range(120)]
+        rng.shuffle(keys)  # keys arrive out of order
+        scores = {k: float(rng.randint(0, 3)) for k in keys}
+        ranks = ordinal_ranks(scores)
+        for top_n in (1, 40, 120, 200):
+            table = rank_table(self._vector("degree", scores), top_n)
+            head = list(ranks.items())[:top_n]
+            assert table.rows == tuple((rank, k, scores[k]) for k, rank in head)
+        others = [self._vector("degree", {k: float(rng.randint(0, 2)) for k in keys})]
+        profile = ranking_profile(self._vector("pagerank", scores), others,
+                                  {k: rng.randint(0, 2) for k in keys})
+        authors = [author for author, _ in profile.rows]
+        assert authors == sorted(keys, key=lambda k: (-scores[k], k))
+        assert [ranks[0] for _, ranks in profile.rows] == list(range(1, 121))
+
     def test_vertex_set_mismatch_rejected(self):
         with pytest.raises(DataError):
             ranking_profile(
