@@ -17,7 +17,6 @@ from .centrality import (
     pagerank,
     rank_table,
 )
-from .datasets import lis_growth_series
 from .errors import (
     CoauthNetError,
     ConfigError,
@@ -30,6 +29,7 @@ from .evolve import (
     TimeSlice,
     cumulative_slices,
     growth_series,
+    lis_growth_series,
     slice_report,
 )
 from .graph import (

@@ -1,7 +1,8 @@
 """numpy kernels of graph and centrality, which import this module on
 first call; no other module imports numpy, and none of them needs scipy.
 
-A graph is read as plain CSR arrays (csr_view). One bit-parallel sweep,
+A graph is read as plain CSR arrays that csr_view builds on each call,
+its row pointers, column indices and arc tails. One bit-parallel sweep,
 64 sources per machine word, gives the hop distances behind mean distance,
 closeness and betweenness; betweenness rebuilds each search's visiting
 order from the distances alone. Index order is lexicographic order, and
@@ -18,19 +19,20 @@ import numpy as np
 from .errors import ConvergenceError
 from .graph import CoauthGraph
 
-# A CSR view: row pointers and ascending column indices per row.
-Csr = tuple[np.ndarray, np.ndarray]
+# A CSR view: row pointers, ascending column indices per row, each arc's row.
+Csr = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def csr_view(g: CoauthGraph) -> Csr:
-    """The graph's adjacency in CSR form, (indptr, indices). Rows follow
-    the graph's index order, which is lexicographic order, and every row's
-    column indices are sorted."""
+    """The graph's adjacency in CSR form, (indptr, indices, tails). Rows
+    follow the graph's index order, which is lexicographic order, every
+    row's column indices are sorted, and tails[i] is the row of arc i."""
     adj = g._adj
     indptr = np.zeros(len(adj) + 1, dtype=np.int64)
     np.cumsum([len(nbrs) for nbrs in adj], out=indptr[1:])
     indices = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(indptr[-1]))
-    return indptr, indices
+    tails = np.repeat(np.arange(len(adj)), np.diff(indptr))
+    return indptr, indices, tails
 
 
 # Sources per sweep block: one bit of a uint64 word each.
@@ -57,7 +59,7 @@ def sweep(a: Csr) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     Bit j of each new vertex's level is ORed into bit plane j, and the
     distances are read back from the planes.
     """
-    indptr, indices = a
+    indptr, indices, _ = a
     n = len(indptr) - 1
     degree = np.diff(indptr)
     nxt = np.zeros(n, dtype=np.uint64)  # OR target, all zero between levels
@@ -133,9 +135,8 @@ def block_dependencies(a: Csr, sources: np.ndarray, dist: np.ndarray) -> tuple[n
     order. The arcs of one w reach distinct v, so their relative order
     changes no delta, and sigma sums are exact in any order.
     """
-    indptr, indices = a
+    _, indices, arc_w = a
     k, n = dist.shape
-    arc_w = np.repeat(np.arange(n), np.diff(indptr))
     dw = dist[:, arc_w]
     dag = np.flatnonzero((dw > 0) & (dist[:, indices] == dw - 1))
     level = dw.ravel()[dag]
@@ -202,10 +203,9 @@ def betweenness_sums(g: CoauthGraph, a: Csr, exact: Callable) -> list[float]:
 def pagerank_power(a: Csr, damping: float, tol: float, max_iter: int) -> list[float]:
     """Power iteration from the uniform vector until the L1 change drops
     below tol; ConvergenceError once max_iter passes first."""
-    indptr, indices = a
+    indptr, indices, row_of_arc = a
     n = len(indptr) - 1
     degree = np.diff(indptr)
-    row_of_arc = np.repeat(np.arange(n), degree)
     dangling = degree == 0
     spread = np.maximum(degree, 1)  # a dangling vertex's share is never read
     base = (1.0 - damping) / n

@@ -223,9 +223,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The corpus flags by dest: fit --series reads no corpus, so none of them could take effect.
+_CORPUS_FLAGS = {"input_path": "--input", "merge_map_path": "--merge-map",
+                 "doc_types": "--doc-types", "start_year": "--start-year",
+                 "restrict_to_largest": "--whole-graph"}
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     given = vars(args)
     cfg = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
+    clash = [flag for dest, flag in _CORPUS_FLAGS.items() if dest in given]
+    if cfg.series_path is not None and clash:
+        raise ConfigError("--series cannot be combined with " + ", ".join(clash))
     if not cfg.doc_types:
         raise ConfigError("--doc-types must name at least one document type")
     if not 0.0 < cfg.damping < 1.0:
@@ -383,9 +392,8 @@ def cmd_correlate(cfg: RunConfig) -> Outputs:
 
 
 def cmd_fit(cfg: RunConfig) -> Outputs:
-    fits = []
     resolved: dict[str, object] = {}
-    if cfg.series_path:
+    if cfg.series_path is not None:
         rows = parse_growth_csv(_read_text(cfg.series_path, "series file", ParseError))
         records = None
     else:
@@ -393,9 +401,8 @@ def cmd_fit(cfg: RunConfig) -> Outputs:
         start, end = _year_range(cfg, records)
         rows = growth_series(records, start, end)
         resolved.update(start_year=start, end_year=end)
-    t_axis = range(1, len(rows) + 1)
-    fits.append(("papers", power_fit([(t, row[1]) for t, row in zip(t_axis, rows)])))
-    fits.append(("authors", power_fit([(t, row[2]) for t, row in zip(t_axis, rows)])))
+    fits = [(name, power_fit([(t, row[col]) for t, row in enumerate(rows, start=1)]))
+            for col, name in ((1, "papers"), (2, "authors"))]
     if records is not None:
         g = _restrict(cfg, build_graph(records))
         fits.append(("degree_distribution", power_fit(degree_distribution(g))))

@@ -11,6 +11,7 @@ import csv
 import logging
 from collections import Counter
 from dataclasses import astuple, dataclass
+from importlib import resources
 from typing import IO, Iterable, Sequence
 
 from ._csvtext import csv_text
@@ -19,6 +20,8 @@ from .graph import CoauthGraph, build_graph, largest_component, mean_distance
 from .ingest import BiblioRecord, _lines
 
 logger = logging.getLogger(__name__)
+
+GROWTH_SERIES_FILENAME = "lis_growth_1988_2007.csv"
 
 
 @dataclass(frozen=True)
@@ -72,17 +75,9 @@ def cumulative_slices(
             start_year,
             bounds[-1],
         )
-    slices = []
-    for boundary in bounds:
-        chunk = [r for r in in_range if r.year <= boundary]
-        slices.append(
-            TimeSlice(
-                start_year=start_year,
-                end_year=boundary,
-                graph=build_graph(chunk),
-            )
-        )
-    return slices
+    return [TimeSlice(start_year=start_year, end_year=boundary,
+                      graph=build_graph([r for r in in_range if r.year <= boundary]))
+            for boundary in bounds]
 
 
 def slice_report(ts: TimeSlice) -> SliceReport:
@@ -163,6 +158,13 @@ def parse_growth_csv(stream: str | IO[str] | Iterable[str]) -> list[tuple[int, i
         except ValueError:
             raise ParseError(f"growth series line {line_no}: non-integer value") from None
     return rows
+
+
+def lis_growth_series() -> list[tuple[int, int, int]]:
+    """Cumulative (year, papers, authors) rows for the bundled twenty-year
+    library-and-information-science journal corpus (1988 through 2007)."""
+    resource = resources.files("coauthnet") / "data" / GROWTH_SERIES_FILENAME
+    return parse_growth_csv(resource.read_text(encoding="utf-8"))
 
 
 def render_slice_csv(reports: Iterable[SliceReport]) -> str:

@@ -77,13 +77,10 @@ class CoauthGraph:
         """Build a graph from (a, b) or (a, b, weight) tuples plus optional
         isolated vertices. Repeated pairs accumulate weight."""
         adj: dict[str, dict[str, int]] = {v: {} for v in vertices}
-        for edge in edges:
-            a, b = edge[0], edge[1]
-            w = edge[2] if len(edge) == 3 else 1
-            adj.setdefault(a, {})
-            adj.setdefault(b, {})
-            adj[a][b] = adj[a].get(b, 0) + w
-            adj[b][a] = adj[b].get(a, 0) + w
+        for a, b, *w in edges:
+            for x, y in ((a, b), (b, a)):
+                row = adj.setdefault(x, {})
+                row[y] = row.get(y, 0) + (w[0] if w else 1)
         return cls(adj)
 
     def __len__(self) -> int:

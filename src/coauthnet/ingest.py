@@ -101,6 +101,13 @@ def _dedupe(keys: Iterable[str]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(keys))
 
 
+def _with_authors(rec: BiblioRecord, keys: Iterable[str]) -> BiblioRecord:
+    """A copy of rec whose authors are keys, repeats dropped."""
+    return BiblioRecord(
+        record_id=rec.record_id, authors=_dedupe(keys), year=rec.year,
+        doc_type=rec.doc_type, times_cited=rec.times_cited, source=rec.source)
+
+
 def _lines(stream: str | IO[str] | Iterable[str]) -> Iterator[str]:
     if isinstance(stream, str):
         return iter(io.StringIO(stream))
@@ -227,9 +234,7 @@ def normalize_records(records: Iterable[BiblioRecord]) -> list[BiblioRecord]:
             if key is None:
                 key = keys[raw] = normalize_author(raw)
             team.append(key)
-        out.append(BiblioRecord(
-            record_id=rec.record_id, authors=_dedupe(team), year=rec.year,
-            doc_type=rec.doc_type, times_cited=rec.times_cited, source=rec.source))
+        out.append(_with_authors(rec, team))
     return out
 
 
@@ -259,12 +264,16 @@ class AuthorMergeMap:
 
         Both sides are normalized. Chains (A -> B, B -> C) are resolved to
         their terminal key at load time. Raises ConfigError on cycles,
-        self-mappings, or a variant listed with two different targets.
+        self-mappings, a variant listed with two different targets, or a
+        name with no usable content.
         """
         raw: dict[str, str] = {}
         for variant, canonical in pairs:
-            v = normalize_author(variant)
-            c = normalize_author(canonical)
+            try:
+                v = normalize_author(variant)
+                c = normalize_author(canonical)
+            except DataError as exc:
+                raise ConfigError(f"merge map pair {(variant, canonical)!r}: {exc}") from None
             if v in raw and raw[v] != c:
                 raise ConfigError(
                     f"merge map lists variant {v!r} with conflicting targets "
@@ -327,10 +336,7 @@ def apply_merge_map(
     out = []
     for rec in records:
         if not variants.isdisjoint(rec.authors):
-            mapped = _dedupe(map(merge_map.resolve, rec.authors))
-            rec = BiblioRecord(
-                record_id=rec.record_id, authors=mapped, year=rec.year,
-                doc_type=rec.doc_type, times_cited=rec.times_cited, source=rec.source)
+            rec = _with_authors(rec, map(merge_map.resolve, rec.authors))
         out.append(rec)
     return out
 

@@ -302,9 +302,8 @@ def ranking_profile(
     if set(citations) != vertex_set:
         raise DataError("ranking_profile: citations cover a different vertex set")
     columns = (baseline.measure, *(cv.measure for cv in others), "citations")
-    rank_maps = [ordinal_ranks(baseline.scores)]
-    rank_maps.extend(ordinal_ranks(cv.scores) for cv in others)
-    rank_maps.append(ordinal_ranks(citations))
+    scores = (baseline.scores, *(cv.scores for cv in others), citations)
+    rank_maps = [ordinal_ranks(s) for s in scores]
     rows = tuple((v, tuple(ranks[v] for ranks in rank_maps)) for v in rank_maps[0])
     return RankingProfile(columns=columns, rows=rows)
 

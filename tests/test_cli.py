@@ -18,7 +18,7 @@ from coauthnet import (
     normalize_records,
     parse_records,
 )
-from coauthnet.cli import main
+from coauthnet.cli import _write_atomic, main
 from oracles import (
     clustering_oracle,
     mean_distance_oracle,
@@ -30,6 +30,8 @@ DATA = Path(__file__).parent / "data"
 FIXTURE = str(DATA / "fixture_corpus.tsv")
 MERGE_MAP = str(DATA / "merge_map.csv")
 GOLDEN = DATA / "golden"
+SERIES = str(Path(__file__).resolve().parents[1] / "src" / "coauthnet" / "data"
+             / "lis_growth_1988_2007.csv")
 
 PATH_CORPUS = "UT\tAU\tPY\tDT\tTC\tSO\nW1\tAAA, A; BBB, B\t1990\tArticle\t5\tJ\nW2\tBBB, B; CCC, C\t1991\tArticle\t3\tJ\n"
 STAR_CORPUS = (
@@ -418,9 +420,10 @@ class TestCliPlumbing:
     def test_non_utf8_file_names_file_and_offset(self, tmp_path, caplog, command, flag, what, code):
         bad = tmp_path / "latin1.txt"
         bad.write_bytes(b"UT\tAU\n\xff")
+        # fit --series reads no corpus; with flag == "--input" the second --input wins
+        corpus = () if flag == "--series" else ("--input", FIXTURE)
         with caplog.at_level(logging.ERROR):
-            # with flag == "--input" the second --input wins
-            assert run(command, "--input", FIXTURE, flag, str(bad),
+            assert run(command, *corpus, flag, str(bad),
                        "--output-dir", str(tmp_path / "o")) == code
         assert f"{what} {bad}: not valid UTF-8 at byte offset 6" in caplog.text
         assert not (tmp_path / "o").exists()
@@ -435,19 +438,61 @@ class TestCliPlumbing:
         assert "merge map line 3: author name '. ,' has no usable content" in caplog.text
         assert not (tmp_path / "o").exists()
 
-    def test_nan_tol_exits_1_before_loading_corpus(self, tmp_path, caplog):
+    @pytest.mark.parametrize("argv, message", [
+        (("centrality", "--input", FIXTURE, "--tol", "nan"), "--tol must be positive, got nan"),
+        (("centrality", "--input", FIXTURE, "--tol", "inf"), "--tol must be finite, got inf"),
+        (("centrality", "--input", FIXTURE, "--max-iter", "0"), "--max-iter must be >= 1, got 0"),
+        (("centrality", "--input", FIXTURE, "--top-n", "0"), "--top-n must be >= 1, got 0"),
+        (("centrality", "--input", FIXTURE, "--histogram-bins", "0"),
+         "--histogram-bins must be >= 1, got 0"),
+        (("stats", "--input", FIXTURE, "--doc-types", ","),
+         "--doc-types must name at least one document type"),
+        (("stats",), "--input is required for this command"),
+        (("evolve", "--input", FIXTURE, "--slices", "1997,2oo7"),
+         "argument --slices: expected comma-separated integers, got '1997,2oo7'"),
+    ], ids=["--tol nan", "--tol inf", "--max-iter 0", "--top-n 0", "--histogram-bins 0",
+            "--doc-types ,", "no --input", "--slices 1997,2oo7"])
+    def test_bad_value_exits_1_before_loading_corpus(self, tmp_path, caplog, argv, message):
+        out = tmp_path / "o"
         with caplog.at_level(logging.INFO):
-            assert run("centrality", "--input", FIXTURE, "--output-dir",
-                       str(tmp_path / "o"), "--tol", "nan") == 1
-        assert "--tol must be positive, got nan" in caplog.text
+            assert run(*argv, "--output-dir", str(out)) == 1
+        assert message in caplog.text
         assert "parsed" not in caplog.text
+        assert not out.exists()
 
-    def test_inf_tol_exits_1_before_loading_corpus(self, tmp_path, caplog):
+    @pytest.mark.parametrize("flags", [
+        ("--input", FIXTURE),
+        ("--merge-map", MERGE_MAP),
+        ("--doc-types", "Article"),
+        ("--start-year", "2000"),
+        ("--whole-graph",),
+        ("--input", FIXTURE, "--start-year", "2000"),
+    ], ids=["--input", "--merge-map", "--doc-types", "--start-year", "--whole-graph",
+            "--input --start-year"])
+    def test_series_with_corpus_flag_exits_1_before_reading(self, tmp_path, caplog, flags):
+        out = tmp_path / "o"
         with caplog.at_level(logging.INFO):
-            assert run("centrality", "--input", FIXTURE, "--output-dir",
-                       str(tmp_path / "o"), "--tol", "inf") == 1
-        assert "--tol must be finite, got inf" in caplog.text
+            assert run("fit", "--series", SERIES, *flags, "--output-dir", str(out)) == 1
+        clash = ", ".join(flag for flag in flags if flag.startswith("--"))
+        assert f"--series cannot be combined with {clash}" in caplog.text
         assert "parsed" not in caplog.text
+        assert not out.exists()
+
+    def test_empty_series_path_is_still_a_series_run(self, tmp_path, caplog):
+        out = tmp_path / "o"
+        with caplog.at_level(logging.INFO):
+            assert run("fit", "--series", "", "--input", FIXTURE, "--output-dir", str(out)) == 1
+            assert run("fit", "--series", "", "--output-dir", str(out)) == 1
+        assert "--series cannot be combined with --input" in caplog.text
+        assert "series file not found" in caplog.text
+        assert "parsed" not in caplog.text
+        assert not out.exists()
+
+    def test_failed_write_leaves_no_tmp_file(self, tmp_path):
+        target = tmp_path / "out.csv"
+        with pytest.raises(UnicodeEncodeError):
+            _write_atomic(target, "a,b\n\ud800\n")  # a lone surrogate has no UTF-8 form
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ("stats", "--whole-graph"),

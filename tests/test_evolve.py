@@ -8,6 +8,7 @@ import pytest
 from coauthnet import (
     BiblioRecord,
     DataError,
+    ParseError,
     build_graph,
     cumulative_slices,
     growth_series,
@@ -160,6 +161,20 @@ class TestSerialization:
     def test_growth_csv_round_trip(self):
         rows = lis_growth_series()
         assert parse_growth_csv(render_growth_csv(rows)) == rows
+
+    def test_growth_csv_skips_blank_rows(self):
+        text = "year,papers,authors\n1990,1,2\n\n,, \n1991,3,4\n"
+        assert parse_growth_csv(text) == [(1990, 1, 2), (1991, 3, 4)]
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "header must be year,papers,authors"),
+        ("year,papers\n1990,1\n", "header must be year,papers,authors"),
+        ("year,papers,authors\n1990,1\n", "line 2: expected 3 columns"),
+        ("year,papers,authors\n1990,1,2\n1991,3,many\n", "line 3: non-integer value"),
+    ], ids=["empty", "bad header", "short row", "non-integer"])
+    def test_growth_csv_errors(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_growth_csv(text)
 
     def test_slice_csv_header(self):
         records = [paper("R1", 1990, "A", "B")]

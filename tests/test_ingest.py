@@ -63,6 +63,22 @@ class TestParseRecords:
     def test_header_only_gives_empty_list(self):
         assert parse_records(HEADER + "\n") == []
 
+    def test_empty_input_rejected(self):
+        with pytest.raises(ParseError, match="input is empty"):
+            parse_records("")
+
+    def test_empty_record_id_reports_line(self):
+        text = HEADER + "\nW1\tA, X\t1990\tArticle\t1\tJ\n \tB, Y\t1991\tArticle\t2\tJ\n"
+        with pytest.raises(ParseError, match="line 3: empty record id"):
+            parse_records(text)
+
+    def test_reads_an_open_file(self, tmp_path):
+        text = HEADER + "\nW1\tA, X; B, Y\t1990\tArticle\t1\tJ\n"
+        path = tmp_path / "corpus.tsv"
+        path.write_text(text, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            assert parse_records(fh) == parse_records(text)
+
     def test_parser_does_not_filter_doc_types(self):
         text = "\n".join(
             [
@@ -254,6 +270,11 @@ class TestMergeMap:
         assert merge.resolve("MEHO, L") == "MEHO, LI"
         assert merge.resolve("YANG, K") == "YANG, KW"
         assert len(merge) == 2
+
+    def test_pair_without_content_is_config_error_naming_pair(self):
+        with pytest.raises(ConfigError, match=r"merge map pair \('\. ,', 'Yang, K'\): "
+                                              r"author name '\. ,' has no usable content"):
+            AuthorMergeMap.from_pairs([(". ,", "Yang, K")])
 
     def test_csv_wrong_column_count(self):
         with pytest.raises(ConfigError, match="line 1"):
