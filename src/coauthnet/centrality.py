@@ -25,7 +25,8 @@ from ._csvtext import csv_text
 from .errors import ConfigError, DataError
 from .graph import CoauthGraph, _bfs
 
-MEASURES = ("degree", "closeness", "betweenness", "pagerank")
+__all__ = ["CentralityVector", "RankTable", "betweenness_centrality", "closeness_centrality",
+           "degree_centrality", "ordinal_ranks", "pagerank", "rank_table"]
 
 DEFAULT_DAMPING = 0.85
 DEFAULT_TOL = 1e-12

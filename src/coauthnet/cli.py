@@ -9,9 +9,10 @@ is written; ``main`` then writes each one atomically and, last, a
 of its largest component.
 
 Exit codes: 0 success, 1 usage or configuration error (a ``--tol`` that is
-not a positive finite number, NaN and infinity included, or a merge map that
-is not UTF-8), 2 data error (an input or series file that is not UTF-8),
-3 convergence error.
+not a positive finite number, NaN and infinity included, a ``--start-year``
+outside the years a record may carry, more ``--histogram-bins`` than
+``stats.MAX_HISTOGRAM_BINS``, or a merge map that is not UTF-8), 2 data
+error (an input or series file that is not UTF-8), 3 convergence error.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ from .graph import (
 )
 from .ingest import (
     DEFAULT_DOC_TYPES,
+    YEAR_MAX,
+    YEAR_MIN,
     AuthorMergeMap,
     BiblioRecord,
     apply_merge_map,
@@ -66,6 +69,7 @@ from .ingest import (
     parse_records,
 )
 from .stats import (
+    MAX_HISTOGRAM_BINS,
     correlation_matrix,
     degree_distribution,
     histogram,
@@ -249,6 +253,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"--top-n must be >= 1, got {cfg.top_n}")
     if cfg.histogram_bins is not None and cfg.histogram_bins < 1:
         raise ConfigError(f"--histogram-bins must be >= 1, got {cfg.histogram_bins}")
+    if cfg.histogram_bins is not None and cfg.histogram_bins > MAX_HISTOGRAM_BINS:
+        raise ConfigError(
+            f"--histogram-bins must be <= {MAX_HISTOGRAM_BINS}, got {cfg.histogram_bins}")
+    if cfg.start_year is not None and not YEAR_MIN <= cfg.start_year <= YEAR_MAX:
+        raise ConfigError(
+            f"--start-year must lie in [{YEAR_MIN}, {YEAR_MAX}], got {cfg.start_year}")
     return cfg
 
 

@@ -6,6 +6,8 @@ subclasses) -> 2, ConvergenceError -> 3.
 
 from __future__ import annotations
 
+__all__ = ["CoauthNetError", "ConfigError", "ConvergenceError", "DataError", "ParseError"]
+
 
 class CoauthNetError(Exception):
     """Base class for every error raised by this package."""

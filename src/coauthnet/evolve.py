@@ -19,6 +19,9 @@ from .errors import DataError, ParseError
 from .graph import CoauthGraph, build_graph, largest_component, mean_distance
 from .ingest import BiblioRecord, _lines
 
+__all__ = ["SliceReport", "TimeSlice", "cumulative_slices", "growth_series",
+           "lis_growth_series", "slice_report"]
+
 logger = logging.getLogger(__name__)
 
 GROWTH_SERIES_FILENAME = "lis_growth_1988_2007.csv"

@@ -16,6 +16,10 @@ from ._csvtext import csv_text
 from .errors import DataError
 from .ingest import BiblioRecord, _dedupe
 
+__all__ = ["CoauthGraph", "ComponentPartition", "SummaryStats", "build_graph",
+           "clustering_coefficient", "connected_components", "largest_component",
+           "mean_distance", "summary_stats"]
+
 
 class CoauthGraph:
     """Undirected simple graph over canonical author keys.
@@ -25,7 +29,7 @@ class CoauthGraph:
     name to its position there, and ``_adj[i]`` maps each neighbour index of
     vertex i to the edge weight, in ascending index order. Index order is
     lexicographic order, decided once here, so ``vertices()`` and
-    ``neighbors()`` always return lexicographically ordered lists. ``_fill``
+    ``edges()`` always come back in lexicographic order. ``_fill``
     alone stores this form, for every graph (constructed, built from records
     or induced): each row ascending, each row key one of ``_index``'s ints.
     Constructed and built graphs reach it through ``_ascending``; an induced
@@ -68,40 +72,11 @@ class CoauthGraph:
         self.paper_count, self.authorship_count = paper_count, authorship_count
         return self
 
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[str, str] | tuple[str, str, int]],
-        vertices: Iterable[str] = (),
-    ) -> "CoauthGraph":
-        """Build a graph from (a, b) or (a, b, weight) tuples plus optional
-        isolated vertices. Repeated pairs accumulate weight."""
-        adj: dict[str, dict[str, int]] = {v: {} for v in vertices}
-        for a, b, *w in edges:
-            for x, y in ((a, b), (b, a)):
-                row = adj.setdefault(x, {})
-                row[y] = row.get(y, 0) + (w[0] if w else 1)
-        return cls(adj)
-
     def __len__(self) -> int:
         return len(self._names)
 
-    def __contains__(self, vertex: str) -> bool:
-        return vertex in self._index
-
     def vertices(self) -> list[str]:
         return list(self._names)
-
-    def neighbors(self, vertex: str) -> list[str]:
-        return [self._names[j] for j in self._adj[self._index[vertex]]]
-
-    def degree(self, vertex: str) -> int:
-        return len(self._adj[self._index[vertex]])
-
-    def weight(self, a: str, b: str) -> int:
-        """Edge weight between a and b, 0 when not adjacent."""
-        i = self._index.get(a)
-        return 0 if i is None else self._adj[i].get(self._index.get(b), 0)
 
     def edge_count(self) -> int:
         return sum(map(len, self._adj)) // 2
@@ -113,14 +88,6 @@ class CoauthGraph:
             for j, w in nbrs.items():
                 if j > i:
                     yield names[i], names[j], w
-
-    def induced(self, keep: Iterable[str]) -> "CoauthGraph":
-        """Vertex-induced subgraph. Paper counters are not carried over."""
-        kept = set(keep)
-        unknown = kept.difference(self._index)
-        if unknown:
-            raise DataError(f"unknown vertices in induced(): {sorted(unknown)[:3]}")
-        return self._induced(sorted(self._index[v] for v in kept))
 
     def _induced(self, old: list[int]) -> "CoauthGraph":
         """Subgraph on the ascending vertex indices ``old``.
@@ -246,14 +213,6 @@ def _bfs(adj: list[dict[int, int]], s: int,
                 dist[u] = step
                 order.append(u)
     return order, dist
-
-
-def shortest_path_lengths(g: CoauthGraph, source: str) -> dict[str, int]:
-    """BFS hop distances from source; unreachable vertices are absent."""
-    if source not in g:
-        raise DataError(f"unknown source vertex {source!r}")
-    order, dist = _bfs(g._adj, g._index[source])
-    return {g._names[v]: dist[v] for v in order}
 
 
 def mean_distance(g: CoauthGraph) -> float:

@@ -21,6 +21,9 @@ from typing import IO, Iterable, Iterator, Mapping
 
 from .errors import ConfigError, DataError, ParseError
 
+__all__ = ["AuthorMergeMap", "BiblioRecord", "apply_merge_map", "author_citations",
+           "filter_documents", "normalize_author", "normalize_records", "parse_records"]
+
 logger = logging.getLogger(__name__)
 
 #: Column tags the input header must contain (any order, extras allowed).
@@ -183,29 +186,6 @@ def _int_field(value: str, column: str, line_no: int) -> int:
         raise ParseError(f"line {line_no}: non-integer {column} value {value.strip()!r}") from None
 
 
-def serialize_records(records: Iterable[BiblioRecord]) -> str:
-    """Render records back into the tab-delimited input format.
-
-    Inverse of :func:`parse_records` for any valid record list:
-    ``parse_records(serialize_records(records)) == records``.
-    """
-    out = ["\t".join(REQUIRED_COLUMNS)]
-    for rec in records:
-        out.append(
-            "\t".join(
-                (
-                    rec.record_id,
-                    "; ".join(rec.authors),
-                    str(rec.year),
-                    rec.doc_type,
-                    str(rec.times_cited),
-                    rec.source,
-                )
-            )
-        )
-    return "\n".join(out) + "\n"
-
-
 def filter_documents(
     records: Iterable[BiblioRecord], allowed: Iterable[str]
 ) -> list[BiblioRecord]:
@@ -253,10 +233,6 @@ class AuthorMergeMap:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @classmethod
-    def empty(cls) -> "AuthorMergeMap":
-        return cls(entries={})
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "AuthorMergeMap":

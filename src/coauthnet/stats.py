@@ -27,6 +27,9 @@ from .centrality import CentralityVector, ordinal_ranks
 from .errors import DataError
 from .graph import CoauthGraph
 
+__all__ = ["CorrelationReport", "Histogram", "PowerFit", "RankingProfile", "correlation_matrix",
+           "degree_distribution", "histogram", "power_fit", "ranking_profile", "spearman"]
+
 logger = logging.getLogger(__name__)
 
 _SIGNIFICANCE = 0.01
@@ -64,10 +67,6 @@ class Histogram:
 
     bin_edges: tuple[float, ...]
     counts: tuple[int, ...]
-
-    def probabilities(self) -> tuple[float, ...]:
-        total = sum(self.counts)
-        return tuple(c / total for c in self.counts)
 
 
 @dataclass(frozen=True)
@@ -258,16 +257,24 @@ def correlation_matrix(series: Mapping[str, Sequence[float]]) -> CorrelationRepo
     )
 
 
+#: Most bins one histogram may have. Every bin costs an edge, a count and a
+#: CSV row, so the bound keeps time, memory and output small whatever the input.
+MAX_HISTOGRAM_BINS = 10_000
+
+
 def histogram(values: Sequence[float], bins: int) -> Histogram:
     """Equal-width histogram over [min, max].
 
     Interior bins are right-open; the last bin includes its right edge. A
     constant input collapses to a single zero-width bin holding everything.
+    Raises DataError for empty input or bins outside [1, MAX_HISTOGRAM_BINS].
     """
     if not values:
         raise DataError("histogram: empty input")
     if bins < 1:
         raise DataError(f"histogram: bins must be >= 1, got {bins}")
+    if bins > MAX_HISTOGRAM_BINS:
+        raise DataError(f"histogram: bins must be <= {MAX_HISTOGRAM_BINS}, got {bins}")
     lo = float(min(values))
     hi = float(max(values))
     if lo == hi:

@@ -19,14 +19,51 @@ from random import Random
 import numpy as np
 from scipy.stats import rankdata
 
+from typing import Iterable
+
 from coauthnet import AuthorMergeMap, BiblioRecord, CoauthGraph, DataError, normalize_author
 
 INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
-# Generators
+# Generators and readers
 # ---------------------------------------------------------------------------
+
+
+def from_edges(
+    edges: Iterable[tuple[str, str] | tuple[str, str, int]],
+    vertices: Iterable[str] = (),
+) -> CoauthGraph:
+    """Build a graph from (a, b) or (a, b, weight) tuples plus optional
+    isolated vertices. Repeated pairs accumulate weight."""
+    adj: dict[str, dict[str, int]] = {v: {} for v in vertices}
+    for a, b, *w in edges:
+        for x, y in ((a, b), (b, a)):
+            row = adj.setdefault(x, {})
+            row[y] = row.get(y, 0) + (w[0] if w else 1)
+    return CoauthGraph(adj)
+
+
+def adjacency(g: CoauthGraph) -> dict[str, dict[str, int]]:
+    """Each vertex's {neighbour: weight} row, read through the public
+    ``vertices()`` and ``edges()`` alone. Vertices and every row come out in
+    key order: ``edges()`` yields (a, b) with a < b sorted by a, then b, so
+    a vertex's smaller neighbours arrive before its larger ones, each in
+    order. ``CoauthGraph(adjacency(g))`` rebuilds g."""
+    adj: dict[str, dict[str, int]] = {v: {} for v in g.vertices()}
+    for a, b, w in g.edges():
+        adj[a][b] = adj[b][a] = w
+    return adj
+
+
+def serialize_records(records: Iterable[BiblioRecord]) -> str:
+    """Render records in the tab-delimited input format that parse_records reads."""
+    out = ["UT\tAU\tPY\tDT\tTC\tSO"]
+    for rec in records:
+        out.append("\t".join((rec.record_id, "; ".join(rec.authors), str(rec.year),
+                              rec.doc_type, str(rec.times_cited), rec.source)))
+    return "\n".join(out) + "\n"
 
 
 def random_graph(rng: Random, min_n: int = 2, max_n: int = 12) -> CoauthGraph:
@@ -39,7 +76,7 @@ def random_graph(rng: Random, min_n: int = 2, max_n: int = 12) -> CoauthGraph:
         for j in range(i + 1, n):
             if rng.random() < p:
                 edges.append((verts[i], verts[j]))
-    return CoauthGraph.from_edges(edges, vertices=verts)
+    return from_edges(edges, vertices=verts)
 
 
 def random_coauthor_graph(rng: Random, sizes: tuple[int, ...]) -> CoauthGraph:
@@ -65,7 +102,7 @@ def random_coauthor_graph(rng: Random, sizes: tuple[int, ...]) -> CoauthGraph:
             team = sorted(team)  # set order varies with the string hash seed
             edges.extend(combinations(team, 2))
             pool.extend(team)
-    return CoauthGraph.from_edges(edges, vertices=names)
+    return from_edges(edges, vertices=names)
 
 
 def random_records(
@@ -158,12 +195,13 @@ def citation_scan(records) -> dict[str, int]:
 def label_propagation_components(g: CoauthGraph) -> dict[str, str]:
     """Iterate min-label diffusion to a fixpoint; the label identifies the
     component by its smallest member key."""
-    label = {v: v for v in g.vertices()}
+    adj = adjacency(g)
+    label = {v: v for v in adj}
     changed = True
     while changed:
         changed = False
-        for v in g.vertices():
-            best = min([label[v]] + [label[u] for u in g.neighbors(v)])
+        for v, row in adj.items():
+            best = min([label[v]] + [label[u] for u in row])
             if best < label[v]:
                 label[v] = best
                 changed = True
@@ -224,8 +262,8 @@ def clustering_oracle(g: CoauthGraph) -> float:
         a[index[u], index[w]] = a[index[w], index[u]] = 1.0
     a3 = a @ a @ a
     locals_ = []
-    for v in verts:
-        k = g.degree(v)
+    for v, row in adjacency(g).items():
+        k = len(row)
         if k < 2:
             continue
         closed = a3[index[v], index[v]] / 2.0
@@ -238,14 +276,15 @@ def clustering_oracle(g: CoauthGraph) -> float:
 # ---------------------------------------------------------------------------
 
 
-def all_geodesics(g: CoauthGraph, src: str, dst: str) -> list[list[str]]:
-    """Every shortest path from src to dst as an explicit vertex list."""
+def all_geodesics(adj: dict[str, dict[str, int]], src: str, dst: str) -> list[list[str]]:
+    """Every shortest path from src to dst, over an ``adjacency`` mapping,
+    as an explicit vertex list."""
     dist = {src: 0}
     preds: dict[str, list[str]] = defaultdict(list)
     queue = deque([src])
     while queue:
         v = queue.popleft()
-        for u in g.neighbors(v):
+        for u in adj[v]:
             if u not in dist:
                 dist[u] = dist[v] + 1
                 queue.append(u)
@@ -268,9 +307,10 @@ def all_geodesics(g: CoauthGraph, src: str, dst: str) -> list[list[str]]:
 
 def betweenness_enumeration_oracle(g: CoauthGraph) -> dict[str, float]:
     """Sum g_jik / g_jk over unordered pairs by enumerating every geodesic."""
-    score = {v: 0.0 for v in g.vertices()}
-    for j, k in combinations(g.vertices(), 2):
-        paths = all_geodesics(g, j, k)
+    adj = adjacency(g)
+    score = {v: 0.0 for v in adj}
+    for j, k in combinations(adj, 2):
+        paths = all_geodesics(adj, j, k)
         if not paths:
             continue
         through: Counter[str] = Counter()
@@ -289,12 +329,12 @@ def pagerank_linear_oracle(g: CoauthGraph, damping: float = 0.85) -> dict[str, f
     n = len(verts)
     index = {v: i for i, v in enumerate(verts)}
     p = np.zeros((n, n))
-    for v in verts:
-        deg = g.degree(v)
+    for v, row in adjacency(g).items():
+        deg = len(row)
         if deg == 0:
             p[:, index[v]] = 1.0 / n
         else:
-            for u in g.neighbors(v):
+            for u in row:
                 p[index[u], index[v]] = 1.0 / deg
     x = np.linalg.solve(np.eye(n) - damping * p, np.full(n, (1.0 - damping) / n))
     return {v: float(x[index[v]]) for v in verts}

@@ -29,9 +29,11 @@ from coauthnet import (
 )
 from coauthnet.cli import main
 from oracles import (
+    adjacency,
     betweenness_enumeration_oracle,
     closeness_oracle,
     clustering_oracle,
+    from_edges,
     mean_distance_oracle,
     pagerank_linear_oracle,
     random_graph,
@@ -133,10 +135,10 @@ def test_criterion_5_pagerank_correctness():
         for v in g.vertices():
             assert abs(scores[v] - expected[v]) <= 1e-8
     for n in (3, 5, 8, 12):
-        cycle = CoauthGraph.from_edges(
+        cycle = from_edges(
             [(f"C{i}", f"C{(i + 1) % n}") for i in range(n)]
         )
-        complete = CoauthGraph.from_edges(
+        complete = from_edges(
             combinations([f"K{i}" for i in range(n)], 2)
         )
         for g in (cycle, complete):
@@ -181,17 +183,17 @@ def test_criterion_7_structural_statistics():
     for seed in range(100):
         g = random_graph(Random(40_000 + seed), min_n=3, max_n=15)
         assert abs(clustering_coefficient(g) - clustering_oracle(g)) <= 1e-12
-        if any(g.degree(v) > 0 for v in g.vertices()):
+        if g.edge_count() > 0:
             assert abs(mean_distance(g) - mean_distance_oracle(g)) <= 1e-12
         checked += 1
     for n in (3, 5, 9):
-        complete = CoauthGraph.from_edges(combinations([f"K{i}" for i in range(n)], 2))
+        complete = from_edges(combinations([f"K{i}" for i in range(n)], 2))
         assert mean_distance(complete) == 1.0
-        path = CoauthGraph.from_edges(
+        path = from_edges(
             [(f"P{i:02d}", f"P{i + 1:02d}") for i in range(n - 1)]
         )
         assert mean_distance(path) == pytest.approx((n + 1) / 3, abs=1e-12)
-    triangle = CoauthGraph.from_edges([("a", "b"), ("b", "c"), ("a", "c")])
+    triangle = from_edges([("a", "b"), ("b", "c"), ("a", "c")])
     assert clustering_coefficient(triangle) == 1.0
     _report(7, f"mean distance and clustering match all-pairs/triangle oracles "
                f"on {checked} graphs within 1e-12; closed forms hold")
@@ -206,8 +208,9 @@ def test_criterion_8_evolution_invariants():
         slices = cumulative_slices(records, 1988, boundaries)
         for earlier, later in zip(slices, slices[1:]):
             assert set(earlier.graph.vertices()) <= set(later.graph.vertices())
+            later_adj = adjacency(later.graph)
             for a, b, w in earlier.graph.edges():
-                assert later.graph.weight(a, b) >= w
+                assert later_adj[a].get(b, 0) >= w
         whole = build_graph(records)
         final = slices[-1].graph
         assert final.vertices() == whole.vertices()

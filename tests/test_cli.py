@@ -445,13 +445,25 @@ class TestCliPlumbing:
         (("centrality", "--input", FIXTURE, "--top-n", "0"), "--top-n must be >= 1, got 0"),
         (("centrality", "--input", FIXTURE, "--histogram-bins", "0"),
          "--histogram-bins must be >= 1, got 0"),
+        (("centrality", "--input", FIXTURE, "--histogram-bins", "10001"),
+         "--histogram-bins must be <= 10000, got 10001"),
         (("stats", "--input", FIXTURE, "--doc-types", ","),
          "--doc-types must name at least one document type"),
         (("stats",), "--input is required for this command"),
         (("evolve", "--input", FIXTURE, "--slices", "1997,2oo7"),
          "argument --slices: expected comma-separated integers, got '1997,2oo7'"),
+        (("evolve", "--input", FIXTURE, "--start-year=-400000", "--slices", "1995,2007"),
+         "--start-year must lie in [1900, 2100], got -400000"),
+        (("evolve", "--input", FIXTURE, "--start-year", "1899", "--slices", "1995,2007"),
+         "--start-year must lie in [1900, 2100], got 1899"),
+        (("fit", "--input", FIXTURE, "--start-year=-20000"),
+         "--start-year must lie in [1900, 2100], got -20000"),
+        (("fit", "--input", FIXTURE, "--start-year", "2101"),
+         "--start-year must lie in [1900, 2100], got 2101"),
     ], ids=["--tol nan", "--tol inf", "--max-iter 0", "--top-n 0", "--histogram-bins 0",
-            "--doc-types ,", "no --input", "--slices 1997,2oo7"])
+            "--histogram-bins 10001", "--doc-types ,", "no --input", "--slices 1997,2oo7",
+            "evolve --start-year -400000", "evolve --start-year 1899",
+            "fit --start-year -20000", "fit --start-year 2101"])
     def test_bad_value_exits_1_before_loading_corpus(self, tmp_path, caplog, argv, message):
         out = tmp_path / "o"
         with caplog.at_level(logging.INFO):

@@ -23,7 +23,7 @@ from coauthnet import (
     mean_distance,
     pagerank,
 )
-from oracles import random_coauthor_graph, stored_form
+from oracles import adjacency, from_edges, random_coauthor_graph, stored_form
 
 nx = pytest.importorskip("networkx")
 
@@ -90,7 +90,7 @@ def test_edge_order_does_not_change_any_score(name):
     rng.shuffle(edges)
     vertices = g.vertices()
     rng.shuffle(vertices)
-    rebuilt = CoauthGraph.from_edges(edges, vertices=vertices)
+    rebuilt = from_edges(edges, vertices=vertices)
     for measure in (closeness_centrality, betweenness_centrality, pagerank):
         assert list(measure(rebuilt).scores.items()) == list(measure(g).scores.items())
     assert mean_distance(rebuilt) == mean_distance(g)
@@ -118,7 +118,7 @@ def test_largest_component_equals_induced_largest_group():
     g = random_coauthor_graph(Random(2012), (40, 40, 7, 7, 7, 1, 1))  # the size-ties graph
     largest = [v for v, cid in connected_components(g).assignment.items() if cid == 0]
     lcc, ratio = largest_component(g)
-    assert stored_form(lcc) == stored_form(g.induced(largest))
+    assert stored_form(lcc) == stored_form(g._induced(sorted(g._index[v] for v in largest)))
     assert ratio == 40 / len(g)
 
 
@@ -128,15 +128,11 @@ def test_induced_equals_graph_of_filtered_mapping(seed):
     g = random_coauthor_graph(rng, (rng.randint(1, 300), rng.randint(1, 60), 2, 1))
     share = (0.0, 0.1, 0.5, 0.9, 1.0)[seed % 5]
     keep = {v for v in g.vertices() if rng.random() < share}
-    sub = g.induced(keep)
-    expected = CoauthGraph(
-        {v: {u: g.weight(v, u) for u in g.neighbors(v) if u in keep} for v in keep}
-    )
+    sub = g._induced(sorted(g._index[v] for v in keep))
+    rows = adjacency(g)
+    expected = CoauthGraph({v: {u: w for u, w in rows[v].items() if u in keep} for v in keep})
     assert sub.vertices() == expected.vertices()
-    assert [sub.neighbors(v) for v in keep] == [expected.neighbors(v) for v in keep]
-    assert [sub.weight(a, b) for a in keep for b in keep] == [
-        expected.weight(a, b) for a in keep for b in keep
-    ]
+    assert list(adjacency(sub).items()) == list(adjacency(expected).items())
     assert list(sub.edges()) == list(expected.edges())
     # the stored form itself, order included
     assert stored_form(sub) == stored_form(expected)

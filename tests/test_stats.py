@@ -31,7 +31,7 @@ from coauthnet.stats import (
     render_profile_csv,
     render_significance_csv,
 )
-from oracles import power_fit_oracle, random_graph, spearman_rho_oracle
+from oracles import adjacency, from_edges, power_fit_oracle, random_graph, spearman_rho_oracle
 
 
 class TestPowerFit:
@@ -87,23 +87,23 @@ class TestPowerFit:
 
 class TestDegreeDistribution:
     def test_triangle(self):
-        g = CoauthGraph.from_edges([("a", "b"), ("b", "c"), ("a", "c")])
+        g = from_edges([("a", "b"), ("b", "c"), ("a", "c")])
         assert degree_distribution(g) == [(2, 1.0)]
 
     def test_star_with_denominator_over_all_vertices(self):
-        g = CoauthGraph.from_edges([("c", "l1"), ("c", "l2"), ("c", "l3")])
+        g = from_edges([("c", "l1"), ("c", "l2"), ("c", "l3")])
         assert degree_distribution(g) == [(1, 0.75), (3, 0.25)]
 
     def test_isolated_vertices_deflate_but_emit_no_row(self):
-        g = CoauthGraph.from_edges([("a", "b")], vertices=["z", "w"])
+        g = from_edges([("a", "b")], vertices=["z", "w"])
         assert degree_distribution(g) == [(1, 0.5)]
 
     def test_matches_tally_oracle(self):
         g = random_graph(Random(61), min_n=6, max_n=15)
         rows = degree_distribution(g)
         tally: dict[int, int] = {}
-        for v in g.vertices():
-            tally[g.degree(v)] = tally.get(g.degree(v), 0) + 1
+        for row in adjacency(g).values():
+            tally[len(row)] = tally.get(len(row), 0) + 1
         assert rows == [(k, tally[k] / len(g)) for k in sorted(tally) if k >= 1]
         assert sum(p for _, p in rows) <= 1.0 + 1e-12
 
@@ -326,14 +326,26 @@ class TestHistogram:
             assert count == len(members)
 
     def test_normalized_probabilities_sum_to_one(self):
-        hist = histogram([1, 2, 2, 3, 5], bins=4)
-        assert sum(hist.probabilities()) == pytest.approx(1.0, abs=1e-9)
+        """Every value lands in exactly one bin, so count / len(values) sums to one."""
+        values = [1, 2, 2, 3, 5]
+        hist = histogram(values, bins=4)
+        assert sum(hist.counts) == len(values)
 
     def test_rejections(self):
         with pytest.raises(DataError):
             histogram([], bins=3)
         with pytest.raises(DataError):
             histogram([1.0], bins=0)
+
+    def test_bins_bound(self):
+        values = [0.0, 1.0, 2.5]
+        hist = histogram(values, bins=stats.MAX_HISTOGRAM_BINS)
+        assert len(hist.counts) == stats.MAX_HISTOGRAM_BINS and sum(hist.counts) == len(values)
+        too_many = stats.MAX_HISTOGRAM_BINS + 1
+        with pytest.raises(DataError, match=f"must be <= {stats.MAX_HISTOGRAM_BINS}, got {too_many}"):
+            histogram(values, bins=too_many)
+        with pytest.raises(DataError):  # checked before a constant input collapses to one bin
+            histogram([4.2] * 9, bins=too_many)
 
 
 class TestRankingProfile:
