@@ -11,8 +11,11 @@ of its largest component.
 Exit codes: 0 success, 1 usage or configuration error (a ``--tol`` that is
 not a positive finite number, NaN and infinity included, a ``--start-year``
 outside the years a record may carry, more ``--histogram-bins`` than
-``stats.MAX_HISTOGRAM_BINS``, or a merge map that is not UTF-8), 2 data
-error (an input or series file that is not UTF-8), 3 convergence error.
+``stats.MAX_HISTOGRAM_BINS``, or a merge map that is not UTF-8; once the
+corpus is read, a ``--start-year`` after its last year, or for ``fit`` one
+before its first year or after its last year minus 2), 2 data error (an
+input or series file that is not UTF-8), 3 convergence error. ``stats`` on
+a corpus where no record has two authors reports a mean distance of 0.0.
 """
 
 from __future__ import annotations
@@ -323,10 +326,22 @@ def _restrict(cfg: RunConfig, g):
     return g
 
 
-def _year_range(cfg: RunConfig, records: list[BiblioRecord]) -> tuple[int, int]:
-    """``--start-year`` (default: the first year in the corpus) and the last."""
-    start = cfg.start_year if cfg.start_year is not None else min(r.year for r in records)
-    return start, max(r.year for r in records)
+def _year_range(cfg: RunConfig, records: list[BiblioRecord],
+                fit: bool = False) -> tuple[int, int]:
+    """``--start-year`` (default: the first year in the corpus) and the last.
+
+    A given start after the corpus's last year counts no record. ``fit``
+    also refuses one before the first year, whose growth rows are zero, or
+    one leaving fewer than 3 growth rows to fit.
+    """
+    first, last = min(r.year for r in records), max(r.year for r in records)
+    if cfg.start_year is None:
+        return first, last
+    low, high = (first, last - 2) if fit else (YEAR_MIN, last)
+    if not low <= cfg.start_year <= high:
+        raise ConfigError(f"--start-year must lie in [{low}, {high}] for {cfg.command} on a "
+                          f"corpus of years {first}-{last}, got {cfg.start_year}")
+    return cfg.start_year, last
 
 
 # A command returns its output files as {file name: text}, in write order,
@@ -408,7 +423,7 @@ def cmd_fit(cfg: RunConfig) -> Outputs:
         records = None
     else:
         records = _load_corpus(cfg)
-        start, end = _year_range(cfg, records)
+        start, end = _year_range(cfg, records, fit=True)
         rows = growth_series(records, start, end)
         resolved.update(start_year=start, end_year=end)
     fits = [(name, power_fit([(t, row[col]) for t, row in enumerate(rows, start=1)]))

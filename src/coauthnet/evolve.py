@@ -16,7 +16,7 @@ from typing import IO, Iterable, Sequence
 
 from ._csvtext import csv_text
 from .errors import DataError, ParseError
-from .graph import CoauthGraph, build_graph, largest_component, mean_distance
+from .graph import CoauthGraph, _largest_with_distance, build_graph
 from .ingest import BiblioRecord, _lines
 
 __all__ = ["SliceReport", "TimeSlice", "cumulative_slices", "growth_series",
@@ -94,9 +94,7 @@ def slice_report(ts: TimeSlice) -> SliceReport:
     n = len(g)
     if n == 0:
         raise DataError("slice_report: empty slice")
-    # largest is connected, so mean_distance labels no components again
-    largest, ratio = largest_component(g)
-    avg_distance = mean_distance(largest) if len(largest) >= 2 else 0.0
+    largest, ratio, avg_distance = _largest_with_distance(g)
     return SliceReport(
         start_year=ts.start_year,
         end_year=ts.end_year,

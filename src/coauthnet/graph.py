@@ -24,14 +24,13 @@ __all__ = ["CoauthGraph", "ComponentPartition", "SummaryStats", "build_graph",
 class CoauthGraph:
     """Undirected simple graph over canonical author keys.
 
-    The graph stores one integer-indexed form, which every kernel reads:
-    ``_names`` holds the vertex names in sorted order, ``_index`` maps each
-    name to its position there, and ``_adj[i]`` maps each neighbour index of
-    vertex i to the edge weight, in ascending index order. Index order is
-    lexicographic order, decided once here, so ``vertices()`` and
-    ``edges()`` always come back in lexicographic order. ``_fill``
-    alone stores this form, for every graph (constructed, built from records
-    or induced): each row ascending, each row key one of ``_index``'s ints.
+    The graph stores names and rows, which every kernel reads: ``_names``
+    holds the vertex names in sorted order, and ``_adj[i]`` maps each
+    neighbour index of vertex i to the edge weight, in ascending index order.
+    Index order is lexicographic order, decided once here, so ``vertices()``
+    and ``edges()`` always come back in lexicographic order. ``_fill`` alone
+    stores this form, for every graph (constructed, built from records or
+    induced): each row ascending, each index one int shared by all its rows.
     Constructed and built graphs reach it through ``_ascending``; an induced
     graph's rows are its parent's rows relabeled in order, so already are.
     ``paper_count`` and ``authorship_count`` describe the record set a graph
@@ -42,14 +41,10 @@ class CoauthGraph:
     directions of an edge carry the same positive weight.
     """
 
-    __slots__ = ("_names", "_index", "_adj", "paper_count", "authorship_count")
+    __slots__ = ("_names", "_adj", "paper_count", "authorship_count")
 
-    def __init__(
-        self,
-        adjacency: Mapping[str, Mapping[str, int]],
-        paper_count: int = 0,
-        authorship_count: int = 0,
-    ):
+    def __init__(self, adjacency: Mapping[str, Mapping[str, int]],
+                 paper_count: int = 0, authorship_count: int = 0):
         names = sorted(adjacency)
         index = {v: i for i, v in enumerate(names)}
         rows: list[dict[int, int]] = []
@@ -63,12 +58,12 @@ class CoauthGraph:
                 if i == j or rows[j].get(i) != w or not w > 0:
                     raise DataError(f"edge {names[i]!r}-{names[j]!r} needs distinct ends and one "
                                     f"positive weight both ways, got {w!r} and {rows[j].get(i)!r}")
-        self._fill(names, index, _ascending(index, rows), paper_count, authorship_count)
+        self._fill(names, _ascending(rows), paper_count, authorship_count)
 
-    def _fill(self, names: list[str], index: dict[str, int], adj: list[dict[int, int]],
+    def _fill(self, names: list[str], adj: list[dict[int, int]],
               paper_count: int = 0, authorship_count: int = 0) -> "CoauthGraph":
-        """Store sorted names, their index and rows in ascending index order."""
-        self._names, self._index, self._adj = names, index, adj
+        """Store sorted names and rows in ascending index order."""
+        self._names, self._adj = names, adj
         self.paper_count, self.authorship_count = paper_count, authorship_count
         return self
 
@@ -90,26 +85,21 @@ class CoauthGraph:
                     yield names[i], names[j], w
 
     def _induced(self, old: list[int]) -> "CoauthGraph":
-        """Subgraph on the ascending vertex indices ``old``.
-
-        The relabeling is monotone, so every row stays ascending.
-        """
-        names = [self._names[i] for i in old]
-        index = {v: i for i, v in enumerate(names)}
-        new = dict(zip(old, index.values()))  # old index -> new, as the index's ints
-        adj = self._adj
-        rows = [{new[j]: w for j, w in adj[i].items() if j in new} for i in old]
-        return CoauthGraph.__new__(CoauthGraph)._fill(names, index, rows)
+        """Subgraph on the ascending vertex indices ``old``; the relabeling is
+        monotone, so every row stays ascending."""
+        new = dict(zip(old, range(len(old))))  # old index -> new, one int object each
+        rows = [{new[j]: w for j, w in self._adj[i].items() if j in new} for i in old]
+        return CoauthGraph.__new__(CoauthGraph)._fill([self._names[i] for i in old], rows)
 
 
-def _ascending(index: dict[str, int], rows: list[dict[int, int]]) -> list[dict[int, int]]:
+def _ascending(rows: list[dict[int, int]]) -> list[dict[int, int]]:
     """Symmetric rows re-keyed in ascending index order.
 
     Arc i -> j lands at ``adj[j][i]``: read in index order, each row fills
     ascending without a sort. Each input row is dropped once read.
     """
     adj: list[dict[int, int]] = [{} for _ in rows]
-    for i in index.values():  # one int object per index, shared by all rows
+    for i in range(len(rows)):  # one int object per index, shared by all rows
         row, rows[i] = rows[i], None
         for j, w in row.items():
             adj[j][i] = w
@@ -150,7 +140,7 @@ def build_graph(records: Iterable[BiblioRecord]) -> CoauthGraph:
             rows[a][b] = rows[a].get(b, 0) + 1
             rows[b][a] = rows[b].get(a, 0) + 1
     g = CoauthGraph.__new__(CoauthGraph)
-    return g._fill(names, index, _ascending(index, rows), len(teams), sum(map(len, teams)))
+    return g._fill(names, _ascending(rows), len(teams), sum(map(len, teams)))
 
 
 @dataclass(frozen=True)
@@ -232,6 +222,12 @@ def mean_distance(g: CoauthGraph) -> float:
     return (_numeric.distance_sum(_numeric.csr_view(g)) // 2) / pairs
 
 
+def _largest_with_distance(g: CoauthGraph) -> tuple[CoauthGraph, float, float]:
+    """Largest component, its ratio and mean distance (0.0 with no vertex pair)."""
+    largest, ratio = largest_component(g)  # connected, so mean_distance labels no components
+    return largest, ratio, mean_distance(largest) if len(largest) >= 2 else 0.0
+
+
 def clustering_coefficient(g: CoauthGraph) -> float:
     """Average local clustering over vertices of degree >= 2 (0.0 if none).
 
@@ -269,9 +265,9 @@ class SummaryStats:
 def summary_stats(g: CoauthGraph) -> SummaryStats:
     """Summary statistics of a graph built from a record set.
 
-    papers_per_author and authors_per_paper both divide the graph's
-    authorship count (author-paper incidences), by authors and by papers
-    respectively; avg_collaborators is the mean unweighted degree.
+    papers_per_author and authors_per_paper divide the authorship count
+    (author-paper incidences) by authors and by papers; avg_collaborators is
+    the mean unweighted degree; mean_distance is 0.0 for a graph with no edge.
     """
     papers = g.paper_count
     if papers == 0:
@@ -279,7 +275,7 @@ def summary_stats(g: CoauthGraph) -> SummaryStats:
     n = len(g)
     if n == 0:
         raise DataError("summary_stats: graph has no vertices")
-    largest, ratio = largest_component(g)
+    _, ratio, distance = _largest_with_distance(g)
     return SummaryStats(
         papers=papers,
         authors=n,
@@ -287,7 +283,7 @@ def summary_stats(g: CoauthGraph) -> SummaryStats:
         authors_per_paper=g.authorship_count / papers,
         avg_collaborators=2 * g.edge_count() / n,
         largest_component_ratio=ratio,
-        mean_distance=mean_distance(largest),
+        mean_distance=distance,
         clustering_coefficient=clustering_coefficient(g),
     )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from collections import Counter, defaultdict, deque
 from dataclasses import replace
 from itertools import combinations
@@ -177,10 +178,21 @@ def pair_cooccurrence(records) -> dict[tuple[str, str], int]:
 
 
 def stored_form(g: CoauthGraph) -> tuple:
-    """A graph's stored form, order included: index items, each adjacency
-    row's items and the two record counters."""
-    return (list(g._index.items()), [list(row.items()) for row in g._adj],
+    """A graph's stored form, order included: the names (which fix every
+    index), each adjacency row's items and the two record counters."""
+    return (list(g._names), [list(row.items()) for row in g._adj],
             g.paper_count, g.authorship_count)
+
+
+def positions(g: CoauthGraph, names: Iterable[str]) -> list[int]:
+    """Ascending indices of ``names`` in a graph, found by bisecting its
+    sorted ``_names``."""
+    found = []
+    for v in names:
+        i = bisect_left(g._names, v)
+        assert g._names[i:i + 1] == [v], f"{v!r} is not a vertex"
+        found.append(i)
+    return sorted(found)
 
 
 def citation_scan(records) -> dict[str, int]:

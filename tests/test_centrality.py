@@ -34,6 +34,7 @@ from oracles import (
     closeness_oracle,
     from_edges,
     pagerank_linear_oracle,
+    positions,
     random_coauthor_graph,
     random_graph,
 )
@@ -265,7 +266,7 @@ class TestDisjointUnion:
             scores = measure(union).scores
             for cid in partition.sizes:
                 members = [v for v, c in partition.assignment.items() if c == cid]
-                alone = measure(union._induced(sorted(union._index[v] for v in members))).scores
+                alone = measure(union._induced(positions(union, members))).scores
                 assert alone == {v: scores[v] for v in members}  # exact
 
 

@@ -34,6 +34,12 @@ SERIES = str(Path(__file__).resolve().parents[1] / "src" / "coauthnet" / "data"
              / "lis_growth_1988_2007.csv")
 
 PATH_CORPUS = "UT\tAU\tPY\tDT\tTC\tSO\nW1\tAAA, A; BBB, B\t1990\tArticle\t5\tJ\nW2\tBBB, B; CCC, C\t1991\tArticle\t3\tJ\n"
+SOLO_CORPUS = (  # no record has two authors, so no component has a vertex pair
+    "UT\tAU\tPY\tDT\tTC\tSO\n"
+    "W1\tAAA, A\t1990\tArticle\t5\tJ\n"
+    "W2\tBBB, B\t1991\tArticle\t3\tJ\n"
+    "W3\tAAA, A\t1992\tArticle\t1\tJ\n"
+)
 STAR_CORPUS = (
     "UT\tAU\tPY\tDT\tTC\tSO\n"
     "W1\tCORE, C; LEAF, A\t1990\tArticle\t5\tJ\n"
@@ -114,6 +120,17 @@ class TestStatsCommand:
         assert code == 2
         assert "record 'W3' has 1001 distinct authors" in caplog.text
         assert not (tmp_path / "out").exists()
+
+    def test_no_vertex_pair_reports_zero_distance(self, tmp_path):
+        corpus = tmp_path / "solo.tsv"
+        corpus.write_text(SOLO_CORPUS, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("stats", "--input", str(corpus), "--output-dir", str(out)) == 0
+        (row,) = read_rows(out / "summary.csv")
+        assert (row["papers"], row["authors"]) == ("3", "2")
+        assert float(row["largest_component_ratio"]) == 0.5
+        assert float(row["mean_distance"]) == 0.0
+        assert (out / "edges.tsv").read_text(encoding="utf-8") == ""
 
     def test_input_file_not_mutated(self, tmp_path):
         before = hashlib.sha256(Path(FIXTURE).read_bytes()).hexdigest()
@@ -471,6 +488,27 @@ class TestCliPlumbing:
         assert message in caplog.text
         assert "parsed" not in caplog.text
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, allowed", [
+        (("fit", "--start-year", "1900"), "[1988, 2005]"),
+        (("fit", "--start-year", "2007"), "[1988, 2005]"),
+        (("evolve", "--start-year", "2100", "--slices", "2100"), "[1900, 2007]"),
+        (("evolve", "--start-year", "2008", "--slices", "2008"), "[1900, 2007]"),
+    ], ids=" ".join)
+    def test_start_year_outside_corpus_exits_1(self, tmp_path, caplog, argv, allowed):
+        command, *flags = argv
+        out = tmp_path / "o"
+        with caplog.at_level(logging.INFO):
+            assert run(command, "--input", FIXTURE, *flags, "--output-dir", str(out)) == 1
+        assert (f"--start-year must lie in {allowed} for {command} on a corpus of years "
+                f"1988-2007, got {flags[1]}") in caplog.text
+        assert not out.exists()
+
+    def test_start_year_before_corpus_still_slices(self, tmp_path):
+        out = tmp_path / "o"
+        assert run("evolve", "--input", FIXTURE, "--start-year", "1900", "--slices", "1995,2007",
+                   "--output-dir", str(out)) == 0
+        assert read_rows(out / "growth.csv")[0] == {"year": "1900", "papers": "0", "authors": "0"}
 
     @pytest.mark.parametrize("flags", [
         ("--input", FIXTURE),

@@ -23,7 +23,7 @@ from coauthnet import (
     mean_distance,
     pagerank,
 )
-from oracles import adjacency, from_edges, random_coauthor_graph, stored_form
+from oracles import adjacency, from_edges, positions, random_coauthor_graph, stored_form
 
 nx = pytest.importorskip("networkx")
 
@@ -118,7 +118,7 @@ def test_largest_component_equals_induced_largest_group():
     g = random_coauthor_graph(Random(2012), (40, 40, 7, 7, 7, 1, 1))  # the size-ties graph
     largest = [v for v, cid in connected_components(g).assignment.items() if cid == 0]
     lcc, ratio = largest_component(g)
-    assert stored_form(lcc) == stored_form(g._induced(sorted(g._index[v] for v in largest)))
+    assert stored_form(lcc) == stored_form(g._induced(positions(g, largest)))
     assert ratio == 40 / len(g)
 
 
@@ -128,7 +128,7 @@ def test_induced_equals_graph_of_filtered_mapping(seed):
     g = random_coauthor_graph(rng, (rng.randint(1, 300), rng.randint(1, 60), 2, 1))
     share = (0.0, 0.1, 0.5, 0.9, 1.0)[seed % 5]
     keep = {v for v in g.vertices() if rng.random() < share}
-    sub = g._induced(sorted(g._index[v] for v in keep))
+    sub = g._induced(positions(g, keep))
     rows = adjacency(g)
     expected = CoauthGraph({v: {u: w for u, w in rows[v].items() if u in keep} for v in keep})
     assert sub.vertices() == expected.vertices()

@@ -29,6 +29,7 @@ from oracles import (
     label_propagation_components,
     mean_distance_oracle,
     pair_cooccurrence,
+    positions,
     random_coauthor_graph,
     random_graph,
     random_records,
@@ -101,6 +102,13 @@ class TestBuildGraph:
         expected = CoauthGraph(mapping, paper_count=len(records),
                                authorship_count=sum(len(set(r.authors)) for r in records))
         assert stored_form(build_graph(records)) == stored_form(expected)
+
+    def test_each_index_is_one_int_object(self):
+        g = random_coauthor_graph(Random(5), (300, 40, 1))  # indices past the small-int cache
+        built = build_graph([paper(f"R{k}", a, b) for k, (a, b, _) in enumerate(g.edges())])
+        for graph in (g, built, largest_component(g)[0]):
+            first: dict[int, int] = {}
+            assert all(first.setdefault(j, j) is j for row in graph._adj for j in row)
 
     def test_self_loop_rejected(self):
         with pytest.raises(DataError, match="edge 'A'-'A'"):
@@ -225,7 +233,7 @@ class TestLargestComponent:
 
 def bfs_distances(g: CoauthGraph, source: str) -> dict[str, int]:
     """Hop distances from source by graph._bfs; unreachable vertices are absent."""
-    order, dist = _bfs(g._adj, g._index[source])
+    order, dist = _bfs(g._adj, positions(g, [source])[0])
     return {g._names[v]: dist[v] for v in order}
 
 
@@ -321,6 +329,11 @@ class TestSummaryStats:
     def test_zero_papers_rejected(self):
         with pytest.raises(DataError):
             summary_stats(CoauthGraph({}))
+
+    def test_no_vertex_pair_gives_zero_distance(self):
+        g = build_graph([paper("R1", "A"), paper("R2", "B"), paper("R3", "A")])
+        stats = summary_stats(g)
+        assert (stats.authors, stats.largest_component_ratio, stats.mean_distance) == (2, 0.5, 0.0)
 
     def test_matches_independent_tally(self):
         records = random_records(Random(13), n_records=20, n_authors=10)
