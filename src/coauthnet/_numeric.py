@@ -7,12 +7,36 @@ its row pointers, column indices and arc tails. One bit-parallel sweep,
 closeness and betweenness; betweenness rebuilds each search's visiting
 order from the distances alone. Index order is lexicographic order, and
 every sum adds in the order of the per-source Python loop it replaces, so
-the results are that loop's bits."""
+the results are that loop's bits.
+
+A plan decides which sources are searched. Two kinds of group repeat a
+search exactly: a class of closed twins (vertices of degree >= 2 with one
+closed neighbourhood N[v]) and a pendant group (an anchor u of degree >= 2
+and its degree-1 neighbours). Only a group's first member in index order
+is searched, and every other member t derives its rows from that
+representative s:
+
+- a twin's distances are s's with entries s and t swapped;
+- a pendant's from its anchor are s's plus 1, the anchor's from its first
+  pendant s's minus 1 (-1 stays -1 in both), with dist[s] = d(s, t) and
+  dist[t] = 0; one pendant's from another are a swap, as for twins;
+- a twin's dependency row is s's; a pendant group's member's is s's but
+  at the anchor u, which is 0.0 for u itself and, for a pendant t, adds
+  1.0 + row[w] from 0.0 over u's neighbours w other than t in descending
+  index order;
+- an integer distance sum is s's plus (n - 2) times the distance offset.
+
+Closeness forms the derived distance rows block by block; betweenness
+adds every source's row, searched or derived, in source order, so it
+holds a representative's dependency row until its group's last member.
+At most HELD_BYTES of rows are held: groups are taken by first member,
+and a group whose row would not fit is searched whole."""
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -35,6 +59,92 @@ def csr_view(g: CoauthGraph) -> Csr:
     return indptr, indices, tails
 
 
+# Bytes of dependency rows betweenness may hold for derived sources, so
+# HELD_BYTES // (8 n) float64 rows of an n-vertex view.
+HELD_BYTES = 16 << 20
+
+
+class Plan(NamedTuple):
+    """Searched sources, ascending, and derived sources, ascending, each
+    with its representative (an earlier searched source), its group's
+    anchor (-1 for a closed-twin class) and its distance offset from the
+    representative: +1 for a pendant of a searched anchor, -1 for an
+    anchor derived from its first pendant, 0 otherwise."""
+
+    searched: np.ndarray
+    derived: np.ndarray
+    rep: np.ndarray
+    anchor: np.ndarray
+    shift: np.ndarray
+
+
+def plan(a: Csr, held_rows: int | None = None) -> Plan:
+    """The view's closed-twin classes and pendant groups, each searched
+    from its first member in index order. With held_rows, groups are taken
+    in order of first member while at most held_rows of them are live (from
+    first member to last), and a group past that is searched whole."""
+    indptr, indices, _ = a
+    n = len(indptr) - 1
+    degree = np.diff(indptr)
+    rep, anchor = np.arange(n), np.full(n, -1)
+    # Equal sums of fixed 64-bit keys (splitmix64 of the index) over N[v]
+    # make candidate twins, each then compared exactly with its candidate
+    # class's first member.
+    key = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    key = (key ^ key >> 30) * np.uint64(0xBF58476D1CE4E5B9)
+    key = (key ^ key >> 27) * np.uint64(0x94D049BB133111EB)
+    key ^= key >> 31
+    csum = np.zeros(len(indices) + 1, dtype=np.uint64)
+    np.cumsum(key[indices], out=csum[1:])
+    closed_key = csum[indptr[1:]] - csum[indptr[:-1]] + key
+    order = np.flatnonzero(degree >= 2)
+    order = order[np.argsort(closed_key[order], kind="stable")]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = closed_key[order[1:]] != closed_key[order[:-1]]
+    starts = np.flatnonzero(new)
+    first = np.repeat(order[starts], np.diff(starts, append=len(order)))
+    pair = (order != first) & (degree[order] == degree[first])
+    t, s = order[pair], first[pair]
+    if t.size:
+        size = degree[t] + 1  # also degree[s] + 1
+        ends = np.cumsum(size)
+
+        def closed_rows(v: np.ndarray) -> np.ndarray:
+            """N[v] of each pair's v, as keys pair * n + member, sorted."""
+            at = np.repeat(indptr[v] - (ends - size), size) + np.arange(ends[-1])
+            member = indices[np.minimum(at, len(indices) - 1)]
+            member[ends - 1] = v  # each row's last slot is v itself
+            return np.sort(np.repeat(np.arange(len(v)), size) * n + member)
+
+        twin = np.logical_and.reduceat(closed_rows(t) == closed_rows(s), ends - size)
+        rep[t[twin]] = s[twin]
+    pendant = np.flatnonzero(degree == 1)
+    u = indices[indptr[pendant]]
+    pendant, u = pendant[degree[u] >= 2], u[degree[u] >= 2]
+    np.minimum.at(rep, u, pendant)
+    rep[pendant], anchor[pendant], anchor[u] = rep[u], u, u
+    if held_rows is not None:
+        derived = np.flatnonzero(rep != np.arange(n))
+        last = np.zeros(n, dtype=np.int64)
+        np.maximum.at(last, rep[derived], derived)
+        live: list[int] = []  # last members of the groups held
+        dropped = np.zeros(n, dtype=bool)
+        for r in np.flatnonzero(last).tolist():  # each group's first member
+            while live and live[0] < r:
+                heappop(live)
+            if len(live) < held_rows:
+                heappush(live, int(last[r]))
+            else:
+                dropped[r] = True
+        whole = dropped[rep]
+        rep[whole] = np.flatnonzero(whole)
+    own = rep == np.arange(n)
+    derived = np.flatnonzero(~own)
+    rep, anchor = rep[derived], anchor[derived]
+    shift = (rep == anchor).astype(np.int32) - (derived == anchor)
+    return Plan(np.flatnonzero(own), derived, rep, anchor, shift)
+
+
 # Sources per sweep block: one bit of a uint64 word each.
 WORD = 64
 _BIT = np.left_shift(np.uint64(1), np.arange(WORD, dtype=np.uint64))
@@ -47,30 +157,30 @@ def _unpack(words: np.ndarray, k: int) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=1, count=k, bitorder="little")
 
 
-def sweep(a: Csr) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Breadth-first search from every vertex of a CSR view, WORD sources
-    per block, in source order.
+def sweep(a: Csr, sources: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Breadth-first search from each of the ascending sources of a CSR
+    view, WORD sources per block, in source order.
 
-    Yields (sources, dist) per block; dist[b, v] is the hop distance from
-    sources[b] to v, -1 when unreachable. The searches of one block run
-    together (Then et al., "The More the Merrier", PVLDB 2014): bit b of a
-    vertex's seen word says source b has reached it, and one level ORs the
-    words of the frontier vertices, only theirs, into their neighbours.
-    Bit j of each new vertex's level is ORed into bit plane j, and the
-    distances are read back from the planes.
+    Yields (block, dist) per block of sources; dist[b, v] is the hop
+    distance from block[b] to v, -1 when unreachable. The searches of one
+    block run together (Then et al., "The More the Merrier", PVLDB 2014):
+    bit b of a vertex's seen word says source b has reached it, and one
+    level ORs the words of the frontier vertices, only theirs, into their
+    neighbours. Bit j of each new vertex's level is ORed into bit plane j,
+    and the distances are read back from the planes.
     """
     indptr, indices, _ = a
     n = len(indptr) - 1
     degree = np.diff(indptr)
     nxt = np.zeros(n, dtype=np.uint64)  # OR target, all zero between levels
     stamp = np.empty(n, dtype=np.int64)
-    for start in range(0, n, WORD):
-        sources = np.arange(start, min(start + WORD, n))
-        k = len(sources)
+    for start in range(0, len(sources), WORD):
+        block = sources[start:start + WORD]
+        k = len(block)
         seen = np.zeros(n, dtype=np.uint64)
-        seen[sources] = _BIT[:k]
+        seen[block] = _BIT[:k]
         planes: list[np.ndarray] = []
-        front, words, level = sources, _BIT[:k], 0
+        front, words, level = block, _BIT[:k], 0
         while front.size:
             level += 1
             deg = degree[front]
@@ -97,22 +207,51 @@ def sweep(a: Csr) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for j, plane in enumerate(planes):
             dist |= _unpack(plane, k).astype(dist.dtype) << j
         dist[_unpack(seen, k) == 0] = -1
-        yield sources, np.ascontiguousarray(dist.T)
+        yield block, np.ascontiguousarray(dist.T)
+
+
+def distance_rows(a: Csr, p: Plan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(sources, dist) like sweep's, for every source of the view: each
+    block of searched sources, then the derived sources whose representative
+    it holds, WORD rows at a time."""
+    by_rep = np.argsort(p.rep, kind="stable")
+    derived, rep, shift = p.derived[by_rep], p.rep[by_rep], p.shift[by_rep]
+    for sources, dist in sweep(a, p.searched):
+        yield sources, dist
+        lo, hi = np.searchsorted(rep, [sources[0], sources[-1] + 1])
+        for start in range(lo, hi, WORD):
+            take = slice(start, min(start + WORD, hi))
+            t, s = derived[take], rep[take]
+            # one size wider, so that a pendant's deepest level + 1 fits
+            wider = np.int16 if dist.itemsize == 1 else np.int32
+            d = dist[np.searchsorted(sources, s)].astype(wider)
+            row = np.arange(len(t))
+            between = d[row, t]
+            np.add(d, shift[take, None], out=d, where=d >= 0)
+            d[row, s], d[row, t] = between, 0
+            yield t, d
 
 
 def distance_sum(a: Csr) -> int:
     """Hop distances summed over ordered pairs of a connected view, in int64."""
-    return sum(int(dist.sum(dtype=np.int64)) for _, dist in sweep(a))
+    n = len(a[0]) - 1
+    p = plan(a)
+    sums = np.zeros(n, dtype=np.int64)
+    for sources, dist in sweep(a, p.searched):
+        sums[sources] = dist.sum(axis=1, dtype=np.int64)
+    sums[p.derived] = sums[p.rep] + p.shift * (n - 2)
+    return int(sums.sum())
 
 
 def closeness_sums(a: Csr) -> list[float]:
     """Sum over reachable others of 1/distance, for every vertex."""
-    values: list[float] = []
-    for _, dist in sweep(a):
-        inv = np.divide(1.0, dist, out=np.zeros(dist.shape), where=dist > 0)
-        # cumsum adds each row left to right, the order of a Python sum
-        values.extend(np.cumsum(inv, axis=1)[:, -1].tolist())
-    return values
+    values = np.zeros(len(a[0]) - 1)
+    for sources, dist in distance_rows(a, plan(a)):
+        # cumsum adds each row left to right, the order of a Python sum; no
+        # name holds the reciprocals, so they are freed before the next block
+        values[sources] = np.cumsum(
+            np.divide(1.0, dist, out=np.zeros(dist.shape), where=dist > 0), axis=1)[:, -1]
+    return values.tolist()
 
 
 # Sources per dependency block. Each block holds a few DEPENDENCY_ROWS x
@@ -184,18 +323,51 @@ def block_dependencies(a: Csr, sources: np.ndarray, dist: np.ndarray) -> tuple[n
     return delta, sigma.reshape(k, n).max(axis=1) >= 2.0**53
 
 
-def betweenness_sums(g: CoauthGraph, a: Csr, exact: Callable) -> list[float]:
-    """Dependencies summed in source order and halved; a source whose path
-    counts reach 2**53 takes them from exact(g._adj, source)."""
-    totals = np.zeros(len(g))
-    for sources, dist in sweep(a):
-        for lo in range(0, len(sources), DEPENDENCY_ROWS):
+def searched_dependencies(g: CoauthGraph, a: Csr, exact: Callable,
+                          sources: np.ndarray) -> Iterator[np.ndarray]:
+    """Dependency row of each of the ascending sources, in order; a source
+    whose path counts reach 2**53 takes it from exact(g._adj, source)."""
+    for block, dist in sweep(a, sources):
+        for lo in range(0, len(block), DEPENDENCY_ROWS):
             rows = slice(lo, lo + DEPENDENCY_ROWS)
-            delta, inexact = block_dependencies(a, sources[rows], dist[rows])
-            for s, row, redo in zip(sources[rows].tolist(), delta, inexact.tolist()):
-                if redo:
-                    row = exact(g._adj, s)
-                totals += row
+            delta, inexact = block_dependencies(a, block[rows], dist[rows])
+            for s, row, redo in zip(block[rows].tolist(), delta, inexact.tolist()):
+                yield np.array(exact(g._adj, s)) if redo else row
+            del delta, row  # so the block is freed before the next is made
+
+
+def betweenness_sums(g: CoauthGraph, a: Csr, exact: Callable) -> list[float]:
+    """Dependencies summed in source order and halved. A derived source's
+    row is its representative's, held until the group's last member, with
+    the anchor's entry replaced for a pendant group."""
+    indptr, indices, _ = a
+    n = len(g)
+    p = plan(a, HELD_BYTES // (8 * max(n, 1)))
+    derived = dict(zip(p.derived.tolist(), zip(p.rep.tolist(), p.anchor.tolist())))
+    last = dict(zip(p.rep.tolist(), p.derived.tolist()))  # derived is ascending
+    searched = searched_dependencies(g, a, exact, p.searched)
+    held: dict[int, np.ndarray] = {}
+    totals = np.zeros(n)
+    for t in range(n):
+        if t not in derived:
+            row = next(searched)
+            if t in last:
+                held[t] = row.copy()
+            totals += row
+            del row  # a view into the block, which is freed before the next is made
+            continue
+        s, u = derived[t]
+        row = held.pop(s) if last[s] == t else held[s]
+        if u < 0:
+            totals += row
+            continue
+        # the row with entry u replaced: 0.0 for the anchor; for a pendant,
+        # 1.0 + row[w] over the anchor's other neighbours w, from 0.0 in
+        # descending index order, as the Python loop's delta pass adds them
+        w = indices[indptr[u]:indptr[u + 1]][::-1]
+        keep = totals[u]
+        totals += row
+        totals[u] = keep + (0.0 if t == u else np.cumsum(1.0 + row[w[w != t]])[-1])
     # each unordered pair was seen from both endpoints
     return (totals / 2.0).tolist()
 

@@ -11,7 +11,11 @@ imported on their first call, which alone loads numpy. Closeness and
 betweenness read its bit-parallel sweep, 64 sources per machine word, and
 betweenness rebuilds each search's visiting order from the distances; every
 sum adds in the order of per-vertex Python loops, so the scores are their
-bits.
+bits. A search that would repeat another exactly is not run: a closed twin
+(same closed neighbourhood, degree >= 2) or a member of a pendant group (an
+anchor of degree >= 2 and its degree-1 neighbours) takes its distance and
+dependency rows from its group's first member in index order, by the
+rules in ``_numeric``'s docstring.
 """
 
 from __future__ import annotations
@@ -93,9 +97,12 @@ def betweenness_centrality(g: CoauthGraph) -> CentralityVector:
     """Unnormalized shortest-path betweenness over unordered vertex pairs.
 
     Brandes' accumulation, vectorized over blocks of sources: each source's
-    dependencies are added to the running totals in source order, so memory
-    stays linear in the graph size and the scores equal the per-source
-    Python loop's (_source_dependencies) bit for bit.
+    dependencies are added to the running totals in source order, so the
+    scores equal the per-source Python loop's (_source_dependencies) bit for
+    bit. A closed twin's or pendant group member's row is derived from its
+    group's first member, whose row is held until the group's last member;
+    the held rows are capped at ``_numeric.HELD_BYTES`` (16 MiB), so memory
+    stays linear in the graph size.
     """
     from . import _numeric
     totals = _numeric.betweenness_sums(g, _numeric.csr_view(g), _source_dependencies)

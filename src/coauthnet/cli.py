@@ -332,9 +332,13 @@ def _year_range(cfg: RunConfig, records: list[BiblioRecord],
 
     A given start after the corpus's last year counts no record. ``fit``
     also refuses one before the first year, whose growth rows are zero, or
-    one leaving fewer than 3 growth rows to fit.
+    one leaving fewer than 3 growth rows to fit; a corpus of fewer than 3
+    years leaves no such start, flag or not, and is a data error.
     """
     first, last = min(r.year for r in records), max(r.year for r in records)
+    if fit and last - first < 2:
+        raise DataError(f"fit needs a corpus of at least 3 years to fit growth, "
+                        f"got years {first}-{last}")
     if cfg.start_year is None:
         return first, last
     low, high = (first, last - 2) if fit else (YEAR_MIN, last)

@@ -210,7 +210,10 @@ def mean_distance(g: CoauthGraph) -> float:
 
     A connected graph is its own largest component: one _bfs from vertex 0
     settles that, and only a disconnected graph is labeled and copied. The
-    integer distance sum comes from _numeric's bit-parallel sweep.
+    integer distance sum comes from _numeric's bit-parallel sweep, which
+    searches one source per closed-twin class and pendant group: a twin's
+    sum is its group's first member's, a pendant's n - 2 more than its
+    anchor's.
     """
     if not len(g) or len(_bfs(g._adj, 0)[0]) < len(g):
         g = largest_component(g)[0]

@@ -18,6 +18,7 @@ from itertools import combinations
 from random import Random
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from typing import Iterable
@@ -128,6 +129,44 @@ def random_records(
             )
         )
     return records
+
+
+def planted(k: int, edges: Iterable[tuple[int, int]], plants: Iterable[tuple[str, int]],
+            keys: list[int]) -> CoauthGraph:
+    """A graph grown from a base of k vertices and index-pair edges (a loop
+    is dropped). Each plant (kind, v) adds one vertex, attached to vertex
+    v modulo the vertices so far: a "twin" takes v's closed neighbourhood,
+    a "pendant" only v. Vertex i is named by keys[i], so planted vertices
+    land anywhere in index order, before or after the vertex they copy."""
+    adj: list[set[int]] = [set() for _ in range(k)]
+    for i, j in edges:
+        if i != j:
+            adj[i].add(j)
+            adj[j].add(i)
+    for kind, v in plants:
+        v %= len(adj)
+        new = len(adj)
+        adj.append(set())
+        for x in {v} | adj[v] if kind == "twin" else {v}:
+            adj[new].add(x)
+            adj[x].add(new)
+    names = [f"V{key:03d}" for key in keys]
+    return from_edges([(names[i], names[j]) for i, row in enumerate(adj) for j in row if i < j],
+                      vertices=names)
+
+
+@st.composite
+def planted_graphs(draw) -> CoauthGraph:
+    """Random graphs of 1-10 base vertices with up to 8 planted closed twins
+    and pendants: a twin of a twin makes a class of 3 or more, and pendants
+    planted on one vertex make a pendant group."""
+    k = draw(st.integers(1, 10))
+    edges = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=3 * k))
+    plants = draw(st.lists(st.tuples(st.sampled_from(["twin", "pendant"]), st.integers(0, 99)),
+                           max_size=8))
+    size = k + len(plants)
+    keys = draw(st.lists(st.integers(0, 999), min_size=size, max_size=size, unique=True))
+    return planted(k, edges, plants, keys)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
 
 from coauthnet import (
     BiblioRecord,
@@ -25,7 +26,7 @@ from coauthnet import (
     pagerank,
     rank_table,
 )
-from coauthnet import centrality
+from coauthnet import _numeric, centrality
 from coauthnet.centrality import CentralityVector, render_rank_csv, render_vector_csv
 from coauthnet.graph import _bfs
 from oracles import (
@@ -34,6 +35,8 @@ from oracles import (
     closeness_oracle,
     from_edges,
     pagerank_linear_oracle,
+    planted,
+    planted_graphs,
     positions,
     random_coauthor_graph,
     random_graph,
@@ -288,6 +291,18 @@ class TestBetweennessMemory:
         # 4x the vertices: linear memory gives ~4x, quadratic ~16x
         assert self.traced_peak(large) / self.traced_peak(small) < 8
 
+    def test_held_rows_stay_within_the_budget(self, monkeypatch):
+        """Closed-twin pairs {j, j + k} interleave over the whole index
+        range, so at its middle every pair's row would be held at once."""
+        g = interleaved_twins(192)
+        a, rows = _numeric.csr_view(g), 32
+        assert len(_numeric.plan(a, rows).derived) < len(_numeric.plan(a).derived)  # the cap binds
+        monkeypatch.setattr(_numeric, "HELD_BYTES", 0)
+        none_held, expected = self.traced_peak(g), betweenness_centrality(g).scores
+        monkeypatch.setattr(_numeric, "HELD_BYTES", rows * 8 * len(g))
+        assert self.traced_peak(g) - none_held < 1.25 * _numeric.HELD_BYTES
+        assert betweenness_centrality(g).scores == expected
+
 
 def python_closeness(g: CoauthGraph) -> dict[str, float]:
     """Per-source Python loop over _bfs, summed in index order."""
@@ -357,6 +372,46 @@ def spanning_graph(rng: Random, names: list[str], groups: list[list[int]]) -> Co
     return from_edges(edges, vertices=names)
 
 
+def interleaved_twins(k: int) -> CoauthGraph:
+    """A coauthorship-like graph on k slots, each blown up into a pair of
+    closed twins named V{j} and V{j + k}, so the pairs interleave."""
+    base = random_coauthor_graph(Random(k), (k,))
+    slot = {v: j for j, v in enumerate(base.vertices())}
+    names = [f"V{i:04d}" for i in range(2 * k)]
+    edges = [(names[j], names[j + k]) for j in range(k)]
+    for a, b, _ in base.edges():
+        edges += [(names[x], names[y]) for x in (slot[a], slot[a] + k)
+                  for y in (slot[b], slot[b] + k)]
+    return from_edges(edges)
+
+
+# Pendant groups {a, b, m, z} (pendants before and after their anchor m)
+# and {c, d}, closed twins {x, y}, a K2 component and an isolated vertex.
+GROUPS = from_edges(
+    [("a", "m"), ("b", "m"), ("z", "m"), ("m", "x"), ("m", "y"), ("x", "y"),
+     ("c", "x"), ("c", "y"), ("c", "d"), ("k1", "k2")],
+    vertices=["w"],
+)
+
+
+def fallback_chain() -> CoauthGraph:
+    """diamond_chain(70) whose end groups' representatives see 2**53 or
+    more geodesics: closed twins D000a, D000b; D000 with pendant D000p; and
+    D070 with pendants A (before it) and Z."""
+    edges = [(a, b) for a, b, _ in diamond_chain(70).edges()]
+    return from_edges(edges + [("D000a", "D000b"), ("D000", "D000p"), ("A", "D070"), ("Z", "D070")])
+
+
+def derivation_graphs() -> list[CoauthGraph]:
+    """Graphs built to derive sources: GROUPS; a path with closed-twin
+    classes of 3 and 2 members and a pendant group, planted vertices named
+    before and after the ones they copy; and fallback_chain."""
+    twins = planted(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+                    [("twin", 2), ("twin", 6), ("twin", 4), ("pendant", 0), ("pendant", 0)],
+                    [10, 20, 30, 40, 50, 60, 5, 35, 99, 1, 70])
+    return [GROUPS, twins, fallback_chain()]
+
+
 def word_boundary_graphs() -> list[CoauthGraph]:
     """Graphs around the sweep's 64-source words: a component and a pair
     that span indices 63 and 64 with isolated vertices beside them, and a
@@ -374,8 +429,8 @@ def word_boundary_graphs() -> list[CoauthGraph]:
 def bit_identity_graphs() -> list[CoauthGraph]:
     """41 seeded graphs of 2-500 vertices, connected and disconnected, the
     graphs around the sweep's 64-source words (connected ones of 63, 64,
-    65, 128 and 129 vertices, and word_boundary_graphs), and the degenerate
-    shapes: no vertex, one vertex, no edge, one edge."""
+    65, 128 and 129 vertices, and word_boundary_graphs), derivation_graphs,
+    and the degenerate shapes: no vertex, one vertex, no edge, one edge."""
     graphs = []
     for seed in range(40):
         rng = Random(3000 + seed)
@@ -389,6 +444,7 @@ def bit_identity_graphs() -> list[CoauthGraph]:
     graphs.append(random_coauthor_graph(Random(3100), (500,)))
     graphs += [random_coauthor_graph(Random(3200 + n), (n,)) for n in (63, 64, 65, 128, 129)]
     graphs += word_boundary_graphs()
+    graphs += derivation_graphs()
     graphs += [
         CoauthGraph({}),
         CoauthGraph({"a": {}}),
@@ -437,6 +493,56 @@ class TestBlockSweepBitIdentity:
         assert betweenness_centrality(g).scores == expected
         # only sources near an end see 2**53 or more geodesics to some vertex
         assert 0 < len(calls) < len(g)
+
+
+class TestDerivedSources:
+    """Closed twins and pendants take their rows from a searched source."""
+
+    @staticmethod
+    def derivations(g: CoauthGraph, held_rows: int | None = None) -> tuple[list, list]:
+        p = _numeric.plan(_numeric.csr_view(g), held_rows)
+        names = g.vertices()
+        derived = [(names[t], names[s], names[u] if u >= 0 else None, c)
+                   for t, s, u, c in zip(p.derived, p.rep, p.anchor, p.shift)]
+        return [names[s] for s in p.searched], derived
+
+    def test_plan_searches_each_group_from_its_first_member(self):
+        searched, derived = self.derivations(GROUPS)
+        assert searched == ["a", "c", "k1", "k2", "w", "x"]
+        # (source, representative, anchor, distance offset)
+        assert derived == [("b", "a", "m", 0), ("d", "c", "c", 1), ("m", "a", "m", -1),
+                           ("y", "x", None, 0), ("z", "a", "m", 0)]
+
+    def test_held_rows_take_groups_by_first_member(self):
+        # {a, b, m, z} is live over the whole range: one held row leaves
+        # no room for {c, d} or {x, y}; two hold {c, d} until d, then {x, y}
+        searched, derived = self.derivations(GROUPS, held_rows=1)
+        assert searched == ["a", "c", "d", "k1", "k2", "w", "x", "y"]
+        assert [t for t, *_ in derived] == ["b", "m", "z"]
+        assert self.derivations(GROUPS, held_rows=2) == self.derivations(GROUPS)
+
+    def test_fallback_representative_hands_its_exact_row_to_its_group(self, monkeypatch):
+        g = fallback_chain()
+        expected = python_betweenness(g)
+        calls = []
+        exact = centrality._source_dependencies
+
+        def counted(adj, s):
+            calls.append(g.vertices()[s])
+            return exact(adj, s)
+
+        monkeypatch.setattr(centrality, "_source_dependencies", counted)
+        assert betweenness_centrality(g).scores == expected
+        assert {"A", "D000", "D000a"} <= set(calls)
+        assert not {"D000b", "D000p", "D070", "Z"} & set(calls)
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_graphs())
+    def test_planted_graphs_match_python_loops(self, g):
+        assert closeness_centrality(g).scores == python_closeness(g)
+        assert betweenness_centrality(g).scores == python_betweenness(g)
+        if len(largest_component(g)[0]) >= 2:
+            assert mean_distance(g) == python_mean_distance(g)
 
 
 class TestSweepScaling:

@@ -504,6 +504,17 @@ class TestCliPlumbing:
                 f"1988-2007, got {flags[1]}") in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [(), ("--start-year", "1990")], ids=["no flag", "--start-year"])
+    def test_fit_on_fewer_than_3_years_exits_2(self, tmp_path, caplog, flags):
+        corpus = tmp_path / "two_years.tsv"
+        corpus.write_text(PATH_CORPUS, encoding="utf-8")
+        out = tmp_path / "o"
+        with caplog.at_level(logging.INFO):
+            assert run("fit", "--input", str(corpus), *flags, "--output-dir", str(out)) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == ["fit needs a corpus of at least 3 years to fit growth, got years 1990-1991"]
+        assert not out.exists()
+
     def test_start_year_before_corpus_still_slices(self, tmp_path):
         out = tmp_path / "o"
         assert run("evolve", "--input", FIXTURE, "--start-year", "1900", "--slices", "1995,2007",
