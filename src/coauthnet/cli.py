@@ -73,6 +73,8 @@ from .ingest import (
 )
 from .stats import (
     MAX_HISTOGRAM_BINS,
+    _degree_rows,
+    _largest_degrees,
     correlation_matrix,
     degree_distribution,
     histogram,
@@ -313,17 +315,24 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _log_restricted(size: int, n: int) -> None:
+    logger.info("restricted to largest component: %d of %d author(s) (%.2f%%)",
+                size, n, 100.0 * (size / n))
+
+
 def _restrict(cfg: RunConfig, g):
     if cfg.restrict_to_largest:
-        sub, ratio = largest_component(g)
-        logger.info(
-            "restricted to largest component: %d of %d author(s) (%.2f%%)",
-            len(sub),
-            len(g),
-            100.0 * ratio,
-        )
+        sub, _ = largest_component(g)
+        _log_restricted(len(sub), len(g))
         return sub
     return g
+
+
+def _largest_degree_rows(g) -> list[tuple[int, float]]:
+    """``degree_distribution(largest_component(g)[0])``, without the copy."""
+    degrees = _largest_degrees(g)
+    _log_restricted(len(degrees), len(g))
+    return _degree_rows(degrees)
 
 
 def _year_range(cfg: RunConfig, records: list[BiblioRecord],
@@ -433,12 +442,23 @@ def cmd_fit(cfg: RunConfig) -> Outputs:
     fits = [(name, power_fit([(t, row[col]) for t, row in enumerate(rows, start=1)]))
             for col, name in ((1, "papers"), (2, "authors"))]
     if records is not None:
-        g = _restrict(cfg, build_graph(records))
-        fits.append(("degree_distribution", power_fit(degree_distribution(g))))
+        g = build_graph(records)
+        degree_rows = (_largest_degree_rows(g) if cfg.restrict_to_largest
+                       else degree_distribution(g))
+        fits.append(("degree_distribution", power_fit(degree_rows)))
     return {"fits.csv": render_fit_csv(fits)}, resolved
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command from argv (default: the process's) and return its exit code.
+
+    No command does BLAS work, so OpenBLAS's worker threads would only spin
+    idle: unless it is already set, ``OPENBLAS_NUM_THREADS`` is 1 while main
+    runs, which numpy reads when a kernel first loads it, and is unset again
+    on return.
+    """
+    blas_preset = "OPENBLAS_NUM_THREADS" in os.environ
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s: %(message)s"
     )
@@ -458,6 +478,9 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, ConfigError):
             return EXIT_CONFIG
         return EXIT_CONVERGENCE if isinstance(exc, ConvergenceError) else EXIT_DATA
+    finally:
+        if not blas_preset:
+            del os.environ["OPENBLAS_NUM_THREADS"]
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 from ._csvtext import csv_text
 from .centrality import CentralityVector, ordinal_ranks
 from .errors import DataError
-from .graph import CoauthGraph
+from .graph import CoauthGraph, _component_groups
 
 __all__ = ["CorrelationReport", "Histogram", "PowerFit", "RankingProfile", "correlation_matrix",
            "degree_distribution", "histogram", "power_fit", "ranking_profile", "spearman"]
@@ -118,10 +118,24 @@ def degree_distribution(g: CoauthGraph) -> list[tuple[int, float]]:
     Probabilities divide by the total vertex count, so isolated vertices
     deflate the listed probabilities without emitting a row of their own.
     """
-    n = len(g)
+    return _degree_rows(map(len, g._adj))
+
+
+def _largest_degrees(g: CoauthGraph) -> list[int]:
+    """The degrees in ``largest_component(g)[0]``, read without the copy.
+
+    A component holds every neighbour of its members, so their rows in g
+    have their induced degrees.
+    """
+    return [len(g._adj[v]) for v in _component_groups(g)[0]]
+
+
+def _degree_rows(degrees: Iterable[int]) -> list[tuple[int, float]]:
+    """``degree_distribution``'s rows for one degree per vertex of a graph."""
+    counts = Counter(degrees)
+    n = counts.total()
     if n == 0:
         raise DataError("degree_distribution: empty graph")
-    counts = Counter(map(len, g._adj))
     if set(counts) == {0}:
         raise DataError("degree_distribution: every vertex is isolated")
     return [(k, counts[k] / n) for k in sorted(counts) if k >= 1]

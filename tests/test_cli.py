@@ -7,21 +7,26 @@ import logging
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
 from coauthnet import (
     AuthorMergeMap,
+    DataError,
     apply_merge_map,
     build_graph,
+    degree_distribution,
     filter_documents,
     growth_series,
     largest_component,
     normalize_records,
     parse_records,
 )
-from coauthnet.cli import _write_atomic, main
+from coauthnet.cli import _largest_degree_rows, _write_atomic, main
 from oracles import (
     clustering_oracle,
+    from_edges,
     mean_distance_oracle,
+    planted_graphs,
     power_fit_oracle,
     spearman_rho_oracle,
 )
@@ -396,6 +401,58 @@ class TestFitCommand:
             assert float(rows[name]["coefficient"]) == pytest.approx(1.0, abs=1e-9)
             assert float(rows[name]["exponent"]) == pytest.approx(2.0, abs=1e-9)
             assert float(rows[name]["r_squared"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def degree_rows_or_error(rows_of, g):
+    try:
+        return rows_of(g)
+    except DataError as exc:
+        return str(exc)
+
+
+def copied_largest_degree_rows(g):
+    return degree_distribution(largest_component(g)[0])
+
+
+class TestFitLargestDegrees:
+    """fit reads the largest component's degrees off the whole graph's rows;
+    they equal the degree distribution of the induced copy."""
+
+    def test_fixture(self):
+        g = build_graph(load_fixture_records())
+        assert len(largest_component(g)[0]) < len(g)  # the fixture has several components
+        assert _largest_degree_rows(g) == copied_largest_degree_rows(g)
+
+    def test_size_tie_takes_the_smallest_key(self):
+        # a pair with the smallest key, then a path and a triangle of 3; the triangle wins
+        g = from_edges([("A", "B"), ("P", "Q"), ("Q", "R"), ("K", "L"), ("L", "M"), ("K", "M")])
+        assert _largest_degree_rows(g) == copied_largest_degree_rows(g) == [(2, 1.0)]
+
+    @given(planted_graphs())
+    def test_planted_graphs(self, g):
+        assert (degree_rows_or_error(_largest_degree_rows, g)
+                == degree_rows_or_error(copied_largest_degree_rows, g))
+
+    def test_restriction_is_logged_once(self, tmp_path, caplog):
+        with caplog.at_level(logging.INFO):
+            assert run("fit", "--input", FIXTURE, "--merge-map", MERGE_MAP,
+                       "--output-dir", str(tmp_path / "o")) == 0
+        g = build_graph(load_fixture_records())
+        lcc, ratio = largest_component(g)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("restricted to largest component")]
+        assert lines == [f"restricted to largest component: {len(lcc)} of {len(g)} "
+                         f"author(s) ({100.0 * ratio:.2f}%)"]
+
+    def test_single_author_corpus_exits_2(self, tmp_path, caplog):
+        corpus = tmp_path / "solo.tsv"
+        corpus.write_text(SOLO_CORPUS, encoding="utf-8")
+        out = tmp_path / "o"
+        with caplog.at_level(logging.INFO):
+            assert run("fit", "--input", str(corpus), "--output-dir", str(out)) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == ["degree_distribution: every vertex is isolated"]
+        assert not out.exists()
 
 
 class TestCliPlumbing:

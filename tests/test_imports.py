@@ -1,7 +1,9 @@
-"""Which numeric modules the package and each command load.
+"""Which numeric modules the package and each command load, and on how many
+threads a command runs once they are loaded.
 
 Every check runs in a fresh interpreter, so modules imported by other tests
-do not count, and compares module names only, never timings.
+do not count, and compares module names and thread counts only, never
+timings.
 """
 
 from __future__ import annotations
@@ -22,25 +24,36 @@ FIXTURE = str(DATA / "fixture_corpus.tsv")
 MERGE_MAP = str(DATA / "merge_map.csv")
 
 
+def json_after(code: str, probe: str, **env_changes: str | None) -> object:
+    """The JSON value that expression probe has after running code in a fresh
+    interpreter, its environment changed by env_changes (None unsets)."""
+    env = dict(os.environ)
+    for name, value in env_changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    program = f"{code}\nimport json, os, sys\nprint(json.dumps({probe}))"
+    done = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def numeric_modules_after(code: str) -> set[str]:
     """Names of the numpy/scipy modules loaded after running code."""
-    probe = (
-        f"{code}\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))))"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    return set(json_after(
+        code, "sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))"))
 
 
-def after_command(tmp_path: Path, *argv: str, corpus: str = FIXTURE,
-                  merge_map: str = MERGE_MAP) -> set[str]:
+def command_code(tmp_path: Path, *argv: str, corpus: str = FIXTURE,
+                 merge_map: str = MERGE_MAP) -> str:
     args = [*argv, "--input", corpus, "--merge-map", merge_map, "--output-dir", str(tmp_path)]
-    return numeric_modules_after(
-        f"from coauthnet.cli import main\nassert main({args!r}) == 0"
-    )
+    return f"from coauthnet.cli import main\nassert main({args!r}) == 0"
+
+
+def after_command(tmp_path: Path, *argv: str, **paths: str) -> set[str]:
+    return numeric_modules_after(command_code(tmp_path, *argv, **paths))
 
 
 @pytest.mark.parametrize("module", ["coauthnet", "coauthnet.cli"])
@@ -81,3 +94,22 @@ def test_correlate_on_clearly_significant_pairs_loads_no_scipy(tmp_path):
                            merge_map=str(tmp_path / "merge_map.csv"))
     assert "numpy" in loaded
     assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+
+
+BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+THREADS = "[line.split()[1] for line in open('/proc/self/status') if line.startswith('Threads:')]"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads /proc/self/status")
+def test_correlate_runs_on_one_thread(tmp_path):
+    """correlate loads numpy, whose OpenBLAS would start a worker thread per
+    CPU that no command uses; with the variable unset, main sets it to 1 while
+    it runs and unsets it again on return."""
+    code = command_code(tmp_path, "correlate")
+    probe = f"['numpy' in sys.modules, os.environ.get({BLAS_THREADS!r}), {THREADS}]"
+    assert json_after(code, probe, **{BLAS_THREADS: None}) == [True, None, ["1"]]
+
+
+def test_preset_blas_thread_count_is_kept(tmp_path):
+    code = command_code(tmp_path, "correlate")
+    assert json_after(code, f"os.environ.get({BLAS_THREADS!r})", **{BLAS_THREADS: "2"}) == "2"

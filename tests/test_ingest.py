@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 from random import Random
 
@@ -383,3 +384,34 @@ class TestAuthorCitations:
         assert total_by_author >= total_by_record
         single_only = all(len(r.authors) == 1 for r in records)
         assert (total_by_author == total_by_record) == single_only
+
+
+class TestRecordConstructor:
+    """``BiblioRecord.__init__`` fills the slots itself instead of the frozen
+    dataclass's generated ``__init__``; its records behave as before."""
+
+    FIELDS = ("W1", ("SALTON, G", "BUCKLEY, C"), 1988, "Article", 906, "IPM")
+
+    def test_positional_equals_and_hashes_like_the_keyword_form(self):
+        built = BiblioRecord(*self.FIELDS)
+        keyword = make_record(record_id="W1", authors=("SALTON, G", "BUCKLEY, C"), year=1988,
+                              times_cited=906)
+        assert built == keyword and hash(built) == hash(keyword)
+        assert repr(built) == repr(keyword) == (
+            "BiblioRecord(record_id='W1', authors=('SALTON, G', 'BUCKLEY, C'), year=1988, "
+            "doc_type='Article', times_cited=906, source='IPM')")
+
+    def test_stays_frozen(self):
+        built = BiblioRecord(*self.FIELDS)
+        with pytest.raises(FrozenInstanceError):
+            built.year = 1989
+        assert built.year == 1988
+
+    def test_pickle_round_trip_and_replace(self):
+        built = BiblioRecord(*self.FIELDS)
+        assert pickle.loads(pickle.dumps(built)) == built
+        assert replace(built, year=1989) == BiblioRecord(*self.FIELDS[:2], 1989, *self.FIELDS[3:])
+
+    def test_fields_are_required(self):
+        with pytest.raises(TypeError):
+            BiblioRecord(*self.FIELDS[:5])
