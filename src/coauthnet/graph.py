@@ -31,8 +31,9 @@ class CoauthGraph:
     and ``edges()`` always come back in lexicographic order. ``_fill`` alone
     stores this form, for every graph (constructed, built from records or
     induced): each row ascending, each index one int shared by all its rows.
-    Constructed and built graphs reach it through ``_ascending``; an induced
-    graph's rows are its parent's rows relabeled in order, so already are.
+    Constructed graphs reach it through ``_ascending``, and ``build_graph``
+    fills its rows in ascending order; an induced graph's rows are its
+    parent's rows relabeled in order, so already are.
     ``paper_count`` and ``authorship_count`` describe the record set a graph
     was built from; derived subgraphs reset them to 0.
 
@@ -93,7 +94,7 @@ class CoauthGraph:
 
 
 def _ascending(rows: list[dict[int, int]]) -> list[dict[int, int]]:
-    """Symmetric rows re-keyed in ascending index order.
+    """Symmetric rows re-keyed in ascending index order (the mapping constructor's).
 
     Arc i -> j lands at ``adj[j][i]``: read in index order, each row fills
     ascending without a sort. Each input row is dropped once read.
@@ -124,6 +125,10 @@ def build_graph(records: Iterable[BiblioRecord]) -> CoauthGraph:
 
     Raises DataError, naming the record, when a record has more than
     ``MAX_TEAM_SIZE`` distinct authors; no pair is counted before that check.
+
+    Each pair is counted once, in the row of its smaller index. Walking
+    those rows in index order, each sorted once, then writes both arcs of
+    every edge, so every row fills ascending without a second pass.
     """
     teams = []
     for rec in records:
@@ -132,15 +137,22 @@ def build_graph(records: Iterable[BiblioRecord]) -> CoauthGraph:
             raise DataError(f"record {rec.record_id!r} has {len(team)} distinct authors, "
                             f"more than the {MAX_TEAM_SIZE} a graph build accepts")
         teams.append(team)
-    names = sorted({v for team in teams for v in team})
-    index = {v: i for i, v in enumerate(names)}
-    rows: list[dict[int, int]] = [{} for _ in names]
+    names = sorted(set().union(*teams))
+    ids = list(range(len(names)))  # one int object per index, shared by all rows
+    index = dict(zip(names, ids)).__getitem__
+    upper: list[dict[int, int]] = [{} for _ in ids]  # upper[a][b], a < b: the pair's count
     for team in teams:
-        for a, b in combinations([index[v] for v in team], 2):
-            rows[a][b] = rows[a].get(b, 0) + 1
-            rows[b][a] = rows[b].get(a, 0) + 1
+        for a, b in combinations(sorted(map(index, team)), 2):
+            row = upper[a]
+            row[b] = row.get(b, 0) + 1
+    rows: list[dict[int, int]] = [{} for _ in ids]
+    for a in ids:  # rows[a] gains its smaller neighbours before its larger ones
+        counts, upper[a] = upper[a], None
+        row = rows[a]
+        for b in sorted(counts):
+            row[b] = rows[b][a] = counts[b]
     g = CoauthGraph.__new__(CoauthGraph)
-    return g._fill(names, _ascending(rows), len(teams), sum(map(len, teams)))
+    return g._fill(names, rows, len(teams), sum(map(len, teams)))
 
 
 @dataclass(frozen=True)

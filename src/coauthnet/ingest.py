@@ -93,24 +93,18 @@ def normalize_author(raw: str) -> str:
 
     Raises DataError for empty or punctuation-only input.
     """
-    if raw is None or not raw.strip():
+    if not raw or raw.isspace():
         raise DataError("author name is empty")
-    # every part below is re-joined from str.split(), which collapses and
+    # every part below is joined from str.split(), which collapses and
     # strips whitespace runs on its own
-    text = raw.upper().replace(".", "")
-    if "," in text:
-        surname, _, rest = text.partition(",")
-        initials = rest.replace(",", " ")
+    surname, comma, initials = raw.upper().replace(".", "").partition(",")
+    if comma:
+        surname = " ".join(surname.split())
+        initials = " ".join(initials.replace(",", " ").split())
     else:
-        tokens = text.split()
-        if len(tokens) <= 1:
-            surname = tokens[0] if tokens else ""
-            initials = ""
-        else:
-            surname = " ".join(tokens[:-1])
-            initials = tokens[-1]
-    surname = " ".join(surname.split())
-    initials = " ".join(initials.split())
+        tokens = surname.split()
+        surname = " ".join(tokens[:-1]) if len(tokens) > 1 else "".join(tokens)
+        initials = tokens[-1] if len(tokens) > 1 else ""
     if not surname and not initials:
         raise DataError(f"author name {raw!r} has no usable content")
     return f"{surname}, {initials}".rstrip()
@@ -123,9 +117,8 @@ def _dedupe(keys: Iterable[str]) -> tuple[str, ...]:
 
 def _with_authors(rec: BiblioRecord, keys: Iterable[str]) -> BiblioRecord:
     """A copy of rec whose authors are keys, repeats dropped."""
-    return BiblioRecord(
-        record_id=rec.record_id, authors=_dedupe(keys), year=rec.year,
-        doc_type=rec.doc_type, times_cited=rec.times_cited, source=rec.source)
+    return BiblioRecord(rec.record_id, _dedupe(keys), rec.year, rec.doc_type, rec.times_cited,
+                        rec.source)
 
 
 def _lines(stream: str | IO[str] | Iterable[str]) -> Iterator[str]:
@@ -173,10 +166,17 @@ def parse_records(stream: str | IO[str] | Iterable[str]) -> list[BiblioRecord]:
         if not authors:
             skipped_anonymous += 1
             continue
-        year = _int_field(fields[py], "PY", line_no)
+        # int() skips surrounding whitespace on its own
+        try:
+            year = int(fields[py])
+        except ValueError:
+            raise _non_integer("PY", fields[py], line_no) from None
         if not YEAR_MIN <= year <= YEAR_MAX:
             raise ParseError(f"line {line_no}: year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
-        times_cited = _int_field(fields[tc], "TC", line_no)
+        try:
+            times_cited = int(fields[tc])
+        except ValueError:
+            raise _non_integer("TC", fields[tc], line_no) from None
         if times_cited < 0:
             raise ParseError(f"line {line_no}: negative citation count {times_cited}")
         record_id = fields[ut].strip()
@@ -188,19 +188,15 @@ def parse_records(stream: str | IO[str] | Iterable[str]) -> list[BiblioRecord]:
                 f"(first seen at line {seen[record_id]})"
             )
         seen[record_id] = line_no
-        records.append(BiblioRecord(
-            record_id=record_id, authors=authors, year=year, doc_type=fields[dt].strip(),
-            times_cited=times_cited, source=fields[so].strip()))
+        records.append(BiblioRecord(record_id, authors, year, fields[dt].strip(), times_cited,
+                                    fields[so].strip()))
     if skipped_anonymous:
         logger.warning("skipped %d record(s) with no parseable authors", skipped_anonymous)
     return records
 
 
-def _int_field(value: str, column: str, line_no: int) -> int:
-    try:
-        return int(value.strip())
-    except ValueError:
-        raise ParseError(f"line {line_no}: non-integer {column} value {value.strip()!r}") from None
+def _non_integer(column: str, value: str, line_no: int) -> ParseError:
+    return ParseError(f"line {line_no}: non-integer {column} value {value.strip()!r}")
 
 
 def filter_documents(
@@ -220,18 +216,19 @@ def filter_documents(
 def normalize_records(records: Iterable[BiblioRecord]) -> list[BiblioRecord]:
     """Normalize every author name and collapse within-paper duplicates.
 
-    Each distinct raw name is normalized once per call.
+    Each distinct raw name is normalized once per call. Raises DataError
+    naming the first record that carries a name with no usable content.
     """
     keys: dict[str, str] = {}
     out = []
     for rec in records:
-        team = []
         for raw in rec.authors:
-            key = keys.get(raw)
-            if key is None:
-                key = keys[raw] = normalize_author(raw)
-            team.append(key)
-        out.append(_with_authors(rec, team))
+            if raw not in keys:
+                try:
+                    keys[raw] = normalize_author(raw)
+                except DataError as exc:
+                    raise DataError(f"record {rec.record_id!r}: {exc}") from None
+        out.append(_with_authors(rec, map(keys.__getitem__, rec.authors)))
     return out
 
 

@@ -126,6 +126,17 @@ class TestStatsCommand:
         assert "record 'W3' has 1001 distinct authors" in caplog.text
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", [".", ","])
+    def test_author_without_content_exits_2_naming_record(self, tmp_path, caplog, name):
+        corpus = tmp_path / "nameless.tsv"
+        corpus.write_text(PATH_CORPUS + f"W3\tCCC, C; {name}\t1992\tArticle\t1\tJ\n"
+                          f"W4\t{name}\t1993\tArticle\t1\tJ\n", encoding="utf-8")
+        with caplog.at_level(logging.ERROR):
+            code = run("stats", "--input", str(corpus), "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert f"record 'W3': author name {name!r} has no usable content" in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_no_vertex_pair_reports_zero_distance(self, tmp_path):
         corpus = tmp_path / "solo.tsv"
         corpus.write_text(SOLO_CORPUS, encoding="utf-8")

@@ -113,3 +113,20 @@ def test_correlate_runs_on_one_thread(tmp_path):
 def test_preset_blas_thread_count_is_kept(tmp_path):
     code = command_code(tmp_path, "correlate")
     assert json_after(code, f"os.environ.get({BLAS_THREADS!r})", **{BLAS_THREADS: "2"}) == "2"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv, exit_code", [
+    (["fit"], 0),
+    (["fit", "--start-year", "1800"], 1),
+], ids=["success", "config-error"])
+def test_collector_state_is_kept(tmp_path, enabled, argv, exit_code):
+    """main pauses the cyclic garbage collector while a command runs and hands
+    it back as it found it, whether the command succeeds or exits 1."""
+    args = [*argv, "--input", FIXTURE, "--output-dir", str(tmp_path)]
+    code = (f"import gc\ngc.{'enable' if enabled else 'disable'}()\n"
+            "import coauthnet.cli as cli\nseen, fit = [], cli.cmd_fit\n"
+            "cli.cmd_fit = lambda cfg: seen.append(gc.isenabled()) or fit(cfg)\n"
+            f"assert cli.main({args!r}) == {exit_code}")
+    paused = [False] if exit_code == 0 else []
+    assert json_after(code, "[seen, gc.isenabled()]") == [paused, enabled]

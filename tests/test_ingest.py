@@ -124,6 +124,19 @@ class TestParseRecords:
         with pytest.raises(ParseError, match="negative"):
             parse_records(text)
 
+    @pytest.mark.parametrize("row, message", [
+        ("W1\tA, X\t1776\tArticle\tmany\tJ", "line 2: year 1776 outside"),
+        ("W1\tA, X\tnineteen\tArticle\t-3\tJ", "line 2: non-integer PY value 'nineteen'"),
+    ], ids=["year-range-before-TC", "PY-before-negative-TC"])
+    def test_row_with_two_faults_reports_the_year(self, row, message):
+        with pytest.raises(ParseError, match=message):
+            parse_records(f"{HEADER}\n{row}\n")
+
+    def test_integer_fields_keep_surrounding_whitespace_out_of_messages(self):
+        assert parse_records(HEADER + "\nW1\tA, X\t 1990 \tArticle\t 4\tJ\n")[0].year == 1990
+        with pytest.raises(ParseError, match="line 2: non-integer TC value '4 x'$"):
+            parse_records(HEADER + "\nW1\tA, X\t1990\tArticle\t 4 x \tJ\n")
+
     def test_duplicate_record_id(self):
         text = "\n".join(
             [HEADER, "W1\tA, X\t1990\tArticle\t1\tJ", "W1\tB, Y\t1991\tArticle\t2\tJ"]
@@ -354,6 +367,13 @@ class TestIngestEquivalence:
         # a variant maps only to a later person, so chains end and never cycle
         pairs = [(PERSONS[i], PERSONS[j]) for i, j in links.items() if j > i]
         self.check(ingest_records(teams), AuthorMergeMap.from_pairs(pairs))
+
+    def test_name_without_content_names_its_first_record(self):
+        records = [make_record(record_id="W1", authors=("MEHO, L",)),
+                   make_record(record_id="W2", authors=("YANG, K", ".")),
+                   make_record(record_id="W3", authors=(".",))]
+        with pytest.raises(DataError, match=r"^record 'W2': author name '\.' has no usable "):
+            normalize_records(records)
 
     def test_unchanged_records_are_shared(self):
         records = normalize_records(ingest_records([[(0, 0)], [(1, 0), (2, 0)]]))
