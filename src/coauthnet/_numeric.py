@@ -11,10 +11,10 @@ the results are that loop's bits.
 
 A plan decides which sources are searched. Two kinds of group repeat a
 search exactly: a class of closed twins (vertices of degree >= 2 with one
-closed neighbourhood N[v]) and a pendant group (an anchor u of degree >= 2
-and its degree-1 neighbours). Only a group's first member in index order
-is searched, and every other member t derives its rows from that
-representative s:
+closed neighbourhood N[v], grouped by a dict keyed by sorted N[v]) and a
+pendant group (an anchor u of degree >= 2 and its degree-1 neighbours).
+Only a group's first member in index order is searched, and every other
+member t derives its rows from that representative s:
 
 - a twin's distances are s's with entries s and t swapped;
 - a pendant's from its anchor are s's plus 1, the anchor's from its first
@@ -80,44 +80,20 @@ class Plan(NamedTuple):
 
 def plan(a: Csr, held_rows: int | None = None) -> Plan:
     """The view's closed-twin classes and pendant groups, each searched
-    from its first member in index order. With held_rows, groups are taken
-    in order of first member while at most held_rows of them are live (from
-    first member to last), and a group past that is searched whole."""
+    from its first member in index order. A closed-twin class is the
+    vertices of degree >= 2 under one key of a dict keyed by sorted N[v],
+    filled in index order, so the key's value is the class's first member.
+    With held_rows, groups are taken in order of first member while at
+    most held_rows of them are live (from first member to last), and a
+    group past that is searched whole."""
     indptr, indices, _ = a
     n = len(indptr) - 1
     degree = np.diff(indptr)
     rep, anchor = np.arange(n), np.full(n, -1)
-    # Equal sums of fixed 64-bit keys (splitmix64 of the index) over N[v]
-    # make candidate twins, each then compared exactly with its candidate
-    # class's first member.
-    key = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    key = (key ^ key >> 30) * np.uint64(0xBF58476D1CE4E5B9)
-    key = (key ^ key >> 27) * np.uint64(0x94D049BB133111EB)
-    key ^= key >> 31
-    csum = np.zeros(len(indices) + 1, dtype=np.uint64)
-    np.cumsum(key[indices], out=csum[1:])
-    closed_key = csum[indptr[1:]] - csum[indptr[:-1]] + key
-    order = np.flatnonzero(degree >= 2)
-    order = order[np.argsort(closed_key[order], kind="stable")]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = closed_key[order[1:]] != closed_key[order[:-1]]
-    starts = np.flatnonzero(new)
-    first = np.repeat(order[starts], np.diff(starts, append=len(order)))
-    pair = (order != first) & (degree[order] == degree[first])
-    t, s = order[pair], first[pair]
-    if t.size:
-        size = degree[t] + 1  # also degree[s] + 1
-        ends = np.cumsum(size)
-
-        def closed_rows(v: np.ndarray) -> np.ndarray:
-            """N[v] of each pair's v, as keys pair * n + member, sorted."""
-            at = np.repeat(indptr[v] - (ends - size), size) + np.arange(ends[-1])
-            member = indices[np.minimum(at, len(indices) - 1)]
-            member[ends - 1] = v  # each row's last slot is v itself
-            return np.sort(np.repeat(np.arange(len(v)), size) * n + member)
-
-        twin = np.logical_and.reduceat(closed_rows(t) == closed_rows(s), ends - size)
-        rep[t[twin]] = s[twin]
+    ptr, cols = indptr.tolist(), indices.tolist()
+    classes: dict[tuple[int, ...], int] = {}
+    for v in np.flatnonzero(degree >= 2).tolist():
+        rep[v] = classes.setdefault(tuple(sorted([*cols[ptr[v]:ptr[v + 1]], v])), v)
     pendant = np.flatnonzero(degree == 1)
     u = indices[indptr[pendant]]
     pendant, u = pendant[degree[u] >= 2], u[degree[u] >= 2]

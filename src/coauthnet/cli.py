@@ -11,11 +11,14 @@ of its largest component.
 Exit codes: 0 success, 1 usage or configuration error (a ``--tol`` that is
 not a positive finite number, NaN and infinity included, a ``--start-year``
 outside the years a record may carry, more ``--histogram-bins`` than
-``stats.MAX_HISTOGRAM_BINS``, or a merge map that is not UTF-8; once the
-corpus is read, a ``--start-year`` after its last year, or for ``fit`` one
-before its first year or after its last year minus 2), 2 data error (an
-input or series file that is not UTF-8), 3 convergence error. ``stats`` on
-a corpus where no record has two authors reports a mean distance of 0.0.
+``stats.MAX_HISTOGRAM_BINS``, ``evolve`` without ``--slices`` or with
+boundaries that are not strictly increasing, or a merge map that is not
+UTF-8; once the corpus is read, a ``--start-year`` after its last year, for
+``fit`` one before its first year or after its last year minus 2, or for
+``evolve`` a ``--slices`` boundary before the start year), 2 data error
+(an input or series file that is not UTF-8), 3 convergence error. ``stats``
+on a corpus where no record has two authors reports a mean distance of 0.0.
+A UTF-8 byte order mark at the start of any file read is dropped.
 """
 
 from __future__ import annotations
@@ -265,6 +268,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if cfg.start_year is not None and not YEAR_MIN <= cfg.start_year <= YEAR_MAX:
         raise ConfigError(
             f"--start-year must lie in [{YEAR_MIN}, {YEAR_MAX}], got {cfg.start_year}")
+    bounds = cfg.slice_boundaries
+    if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
+        raise ConfigError("--slices must be strictly increasing, got "
+                          + ",".join(map(str, bounds)))
     return cfg
 
 
@@ -273,7 +280,7 @@ def _read_text(path_str: str, what: str, error: type[CoauthNetError] = ConfigErr
     if not path.is_file():
         raise ConfigError(f"{what} not found: {path}")
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path}: not valid UTF-8 at byte offset {exc.start}") from None
 
@@ -395,10 +402,13 @@ def cmd_centrality(cfg: RunConfig) -> Outputs:
 
 
 def cmd_evolve(cfg: RunConfig) -> Outputs:
-    records = _load_corpus(cfg)
     if not cfg.slice_boundaries:
         raise ConfigError("--slices is required for evolve")
+    records = _load_corpus(cfg)
     start, end = _year_range(cfg, records)
+    if cfg.slice_boundaries[0] < start:
+        raise ConfigError(f"--slices boundary {cfg.slice_boundaries[0]} is before the start "
+                          f"year {start}")
     reports = [slice_report(ts) for ts in cumulative_slices(records, start, cfg.slice_boundaries)]
     files = {
         "growth.csv": render_growth_csv(growth_series(records, start, end)),

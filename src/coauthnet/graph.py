@@ -31,9 +31,9 @@ class CoauthGraph:
     and ``edges()`` always come back in lexicographic order. ``_fill`` alone
     stores this form, for every graph (constructed, built from records or
     induced): each row ascending, each index one int shared by all its rows.
-    Constructed graphs reach it through ``_ascending``, and ``build_graph``
-    fills its rows in ascending order; an induced graph's rows are its
-    parent's rows relabeled in order, so already are.
+    The mapping constructor sorts each row once it is validated,
+    ``build_graph`` fills its rows in ascending order, and an induced
+    graph's rows are its parent's rows relabeled in order, so already are.
     ``paper_count`` and ``authorship_count`` describe the record set a graph
     was built from; derived subgraphs reset them to 0.
 
@@ -59,7 +59,8 @@ class CoauthGraph:
                 if i == j or rows[j].get(i) != w or not w > 0:
                     raise DataError(f"edge {names[i]!r}-{names[j]!r} needs distinct ends and one "
                                     f"positive weight both ways, got {w!r} and {rows[j].get(i)!r}")
-        self._fill(names, _ascending(rows), paper_count, authorship_count)
+        self._fill(names, [dict(sorted(row.items())) for row in rows],
+                   paper_count, authorship_count)
 
     def _fill(self, names: list[str], adj: list[dict[int, int]],
               paper_count: int = 0, authorship_count: int = 0) -> "CoauthGraph":
@@ -91,20 +92,6 @@ class CoauthGraph:
         new = dict(zip(old, range(len(old))))  # old index -> new, one int object each
         rows = [{new[j]: w for j, w in self._adj[i].items() if j in new} for i in old]
         return CoauthGraph.__new__(CoauthGraph)._fill([self._names[i] for i in old], rows)
-
-
-def _ascending(rows: list[dict[int, int]]) -> list[dict[int, int]]:
-    """Symmetric rows re-keyed in ascending index order (the mapping constructor's).
-
-    Arc i -> j lands at ``adj[j][i]``: read in index order, each row fills
-    ascending without a sort. Each input row is dropped once read.
-    """
-    adj: list[dict[int, int]] = [{} for _ in rows]
-    for i in range(len(rows)):  # one int object per index, shared by all rows
-        row, rows[i] = rows[i], None
-        for j, w in row.items():
-            adj[j][i] = w
-    return adj
 
 
 #: Largest number of distinct authors one record may have. A record with k

@@ -234,6 +234,13 @@ def positions(g: CoauthGraph, names: Iterable[str]) -> list[int]:
     return sorted(found)
 
 
+def closed_twin_classes(g: CoauthGraph) -> set[frozenset[str]]:
+    """The vertices of degree >= 2 grouped by closed neighbourhood N[v],
+    each pair compared as name sets read through ``adjacency``."""
+    closed = {v: {v, *row} for v, row in adjacency(g).items() if len(row) >= 2}
+    return {frozenset(u for u in closed if closed[u] == closed[v]) for v in closed}
+
+
 def citation_scan(records) -> dict[str, int]:
     """Exhaustive per-author scan over the full record list."""
     totals: dict[str, int] = {}

@@ -32,6 +32,7 @@ from coauthnet.graph import _bfs
 from oracles import (
     adjacency,
     betweenness_enumeration_oracle,
+    closed_twin_classes,
     closeness_oracle,
     from_edges,
     pagerank_linear_oracle,
@@ -512,6 +513,30 @@ class TestDerivedSources:
         # (source, representative, anchor, distance offset)
         assert derived == [("b", "a", "m", 0), ("d", "c", "c", 1), ("m", "a", "m", -1),
                            ("y", "x", None, 0), ("z", "a", "m", 0)]
+
+    @staticmethod
+    def twin_classes(g: CoauthGraph) -> set[frozenset[str]]:
+        """The vertices of degree >= 2 grouped by their representative in
+        the uncapped plan; a class of two or more is led by its first member."""
+        p = _numeric.plan(_numeric.csr_view(g))
+        rep = dict(zip(p.derived.tolist(), p.rep.tolist()))
+        classes: dict[int, list[int]] = {}
+        for v, row in enumerate(g._adj):
+            if len(row) >= 2:
+                classes.setdefault(rep.get(v, v), []).append(v)
+        for s, members in classes.items():
+            assert len(members) == 1 or s == members[0]
+        names = g.vertices()
+        return {frozenset(names[v] for v in members) for members in classes.values()}
+
+    def test_plan_finds_exactly_the_closed_twin_classes(self):
+        for g in derivation_graphs():
+            assert self.twin_classes(g) == closed_twin_classes(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_graphs())
+    def test_plan_finds_exactly_the_closed_twin_classes_of_planted_graphs(self, g):
+        assert self.twin_classes(g) == closed_twin_classes(g)
 
     def test_held_rows_take_groups_by_first_member(self):
         # {a, b, m, z} is live over the whole range: one held row leaves

@@ -497,21 +497,41 @@ class TestCliPlumbing:
         assert manifest["start_year"] == 1988  # resolved from the corpus
         assert manifest["doc_types"] == ["Article", "Review"]
 
-    @pytest.mark.parametrize("command, flag, what, code", [
-        ("stats", "--input", "input file", 2),
-        ("stats", "--merge-map", "merge map", 1),
-        ("fit", "--series", "series file", 2),
-    ], ids=["input", "merge-map", "series"])
-    def test_non_utf8_file_names_file_and_offset(self, tmp_path, caplog, command, flag, what, code):
+    @pytest.mark.parametrize("command, flag, what, code, bom", [
+        ("stats", "--input", "input file", 2, b""),
+        ("stats", "--merge-map", "merge map", 1, b""),
+        ("fit", "--series", "series file", 2, b""),
+        ("stats", "--input", "input file", 2, b"\xef\xbb\xbf"),
+    ], ids=["input", "merge-map", "series", "input with BOM"])
+    def test_non_utf8_file_names_file_and_offset(self, tmp_path, caplog, command, flag, what,
+                                                 code, bom):
         bad = tmp_path / "latin1.txt"
-        bad.write_bytes(b"UT\tAU\n\xff")
+        bad.write_bytes(bom + b"UT\tAU\n\xff")
         # fit --series reads no corpus; with flag == "--input" the second --input wins
         corpus = () if flag == "--series" else ("--input", FIXTURE)
         with caplog.at_level(logging.ERROR):
             assert run(command, *corpus, flag, str(bad),
                        "--output-dir", str(tmp_path / "o")) == code
-        assert f"{what} {bad}: not valid UTF-8 at byte offset 6" in caplog.text
+        # the offset counts from the file's first byte, a BOM included
+        assert f"{what} {bad}: not valid UTF-8 at byte offset {6 + len(bom)}" in caplog.text
         assert not (tmp_path / "o").exists()
+
+    def test_merge_map_with_bom_applies_its_first_pair(self, tmp_path):
+        corpus, merge_map = tmp_path / "path.tsv", tmp_path / "merge.csv"
+        corpus.write_text(PATH_CORPUS, encoding="utf-8")
+        merge_map.write_text('\ufeff"AAA, A","CCC, C"\n', encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("stats", "--input", str(corpus), "--merge-map", str(merge_map),
+                   "--output-dir", str(out)) == 0
+        assert (out / "edges.tsv").read_text(encoding="utf-8") == "BBB, B\tCCC, C\t2\n"
+
+    def test_series_with_bom_fits_as_without(self, tmp_path):
+        series = tmp_path / "series.csv"
+        series.write_text("\ufeff" + Path(SERIES).read_text(encoding="utf-8"), encoding="utf-8")
+        assert run("fit", "--series", str(series), "--output-dir", str(tmp_path / "bom")) == 0
+        assert run("fit", "--series", SERIES, "--output-dir", str(tmp_path / "plain")) == 0
+        assert ((tmp_path / "bom" / "fits.csv").read_bytes()
+                == (tmp_path / "plain" / "fits.csv").read_bytes())
 
     def test_merge_map_name_without_content_exits_1_naming_line(self, tmp_path, caplog):
         merge_map = tmp_path / "merge.csv"
@@ -545,10 +565,16 @@ class TestCliPlumbing:
          "--start-year must lie in [1900, 2100], got -20000"),
         (("fit", "--input", FIXTURE, "--start-year", "2101"),
          "--start-year must lie in [1900, 2100], got 2101"),
+        (("evolve", "--input", FIXTURE, "--slices", "2007,1997"),
+         "--slices must be strictly increasing, got 2007,1997"),
+        (("evolve", "--input", FIXTURE, "--slices", "1997,1997"),
+         "--slices must be strictly increasing, got 1997,1997"),
+        (("evolve", "--input", FIXTURE), "--slices is required for evolve"),
     ], ids=["--tol nan", "--tol inf", "--max-iter 0", "--top-n 0", "--histogram-bins 0",
             "--histogram-bins 10001", "--doc-types ,", "no --input", "--slices 1997,2oo7",
             "evolve --start-year -400000", "evolve --start-year 1899",
-            "fit --start-year -20000", "fit --start-year 2101"])
+            "fit --start-year -20000", "fit --start-year 2101", "--slices 2007,1997",
+            "--slices 1997,1997", "no --slices"])
     def test_bad_value_exits_1_before_loading_corpus(self, tmp_path, caplog, argv, message):
         out = tmp_path / "o"
         with caplog.at_level(logging.INFO):
@@ -570,6 +596,18 @@ class TestCliPlumbing:
             assert run(command, "--input", FIXTURE, *flags, "--output-dir", str(out)) == 1
         assert (f"--start-year must lie in {allowed} for {command} on a corpus of years "
                 f"1988-2007, got {flags[1]}") in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, boundary, start", [
+        (("--slices", "1980,2007"), 1980, 1988),
+        (("--start-year", "1995", "--slices", "1992,2007"), 1992, 1995),
+    ], ids=["corpus start", "--start-year"])
+    def test_slice_before_start_year_exits_1(self, tmp_path, caplog, flags, boundary, start):
+        out = tmp_path / "o"
+        with caplog.at_level(logging.INFO):
+            assert run("evolve", "--input", FIXTURE, *flags, "--output-dir", str(out)) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == [f"--slices boundary {boundary} is before the start year {start}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [(), ("--start-year", "1990")], ids=["no flag", "--start-year"])
