@@ -138,12 +138,13 @@ def sweep(a: Csr, sources: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]
     view, WORD sources per block, in source order.
 
     Yields (block, dist) per block of sources; dist[b, v] is the hop
-    distance from block[b] to v, -1 when unreachable. The searches of one
-    block run together (Then et al., "The More the Merrier", PVLDB 2014):
-    bit b of a vertex's seen word says source b has reached it, and one
-    level ORs the words of the frontier vertices, only theirs, into their
-    neighbours. Bit j of each new vertex's level is ORed into bit plane j,
-    and the distances are read back from the planes.
+    distance from block[b] to v, -1 when unreachable; its dtype also holds
+    every level plus one. The searches of one block run together (Then et
+    al., "The More the Merrier", PVLDB 2014): bit b of a vertex's seen word
+    says source b has reached it, and one level ORs the words of the
+    frontier vertices, only theirs, into their neighbours. Bit j of each
+    new vertex's level is ORed into bit plane j, and the distances are read
+    back from the planes.
     """
     indptr, indices, _ = a
     n = len(indptr) - 1
@@ -178,7 +179,8 @@ def sweep(a: Csr, sources: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]
             for j, plane in enumerate(planes):
                 if level >> j & 1:
                     plane[front] |= words
-        # the narrowest signed type that holds every level and -1
+        # the narrowest signed type that holds -1 and 2**len(planes) - 1, past
+        # the deepest level: the last level tried found nothing but has a plane
         dist = np.zeros((n, k), dtype=np.min_scalar_type(-(1 << len(planes))))
         for j, plane in enumerate(planes):
             dist |= _unpack(plane, k).astype(dist.dtype) << j
@@ -189,7 +191,8 @@ def sweep(a: Csr, sources: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]
 def distance_rows(a: Csr, p: Plan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(sources, dist) like sweep's, for every source of the view: each
     block of searched sources, then the derived sources whose representative
-    it holds, WORD rows at a time."""
+    it holds, WORD rows at a time. A derived block keeps the dtype of its
+    representatives' block, which has room for a pendant's level plus one."""
     by_rep = np.argsort(p.rep, kind="stable")
     derived, rep, shift = p.derived[by_rep], p.rep[by_rep], p.shift[by_rep]
     for sources, dist in sweep(a, p.searched):
@@ -198,9 +201,7 @@ def distance_rows(a: Csr, p: Plan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for start in range(lo, hi, WORD):
             take = slice(start, min(start + WORD, hi))
             t, s = derived[take], rep[take]
-            # one size wider, so that a pendant's deepest level + 1 fits
-            wider = np.int16 if dist.itemsize == 1 else np.int32
-            d = dist[np.searchsorted(sources, s)].astype(wider)
+            d = dist[np.searchsorted(sources, s)]
             row = np.arange(len(t))
             between = d[row, t]
             np.add(d, shift[take, None], out=d, where=d >= 0)

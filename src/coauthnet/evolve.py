@@ -143,7 +143,8 @@ def render_growth_csv(rows: Iterable[tuple[int, int, int]]) -> str:
 
 
 def parse_growth_csv(stream: str | IO[str] | Iterable[str]) -> list[tuple[int, int, int]]:
-    """Read a ``year,papers,authors`` CSV back into rows."""
+    """Read a ``year,papers,authors`` CSV back into rows, one per
+    consecutive year (a fit reads row i as time i)."""
     reader = csv.reader(_lines(stream))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["year", "papers", "authors"]:
@@ -155,9 +156,13 @@ def parse_growth_csv(stream: str | IO[str] | Iterable[str]) -> list[tuple[int, i
         if len(row) != 3:
             raise ParseError(f"growth series line {line_no}: expected 3 columns")
         try:
-            rows.append((int(row[0]), int(row[1]), int(row[2])))
+            year, papers, authors = map(int, row)
         except ValueError:
             raise ParseError(f"growth series line {line_no}: non-integer value") from None
+        if rows and year != rows[-1][0] + 1:
+            raise ParseError(f"growth series line {line_no}: year {year} does not follow "
+                             f"{rows[-1][0]}; the series needs one row per consecutive year")
+        rows.append((year, papers, authors))
     return rows
 
 

@@ -107,8 +107,8 @@ def build_graph(records: Iterable[BiblioRecord]) -> CoauthGraph:
 
     Every unordered author pair of a record gains +1 edge weight; a
     single-author record contributes an isolated vertex. Author names are
-    expected normalized and merged; repeated keys within one record are
-    collapsed defensively so no self-loop can arise.
+    expected normalized and merged; a record that repeats a key is read as
+    a copy without the repeats, so no self-loop can arise.
 
     Raises DataError, naming the record, when a record has more than
     ``MAX_TEAM_SIZE`` distinct authors; no pair is counted before that check.
@@ -119,7 +119,7 @@ def build_graph(records: Iterable[BiblioRecord]) -> CoauthGraph:
     """
     teams = []
     for rec in records:
-        team = _dedupe(rec.authors)
+        team = rec.authors if len(set(rec.authors)) == len(rec.authors) else _dedupe(rec.authors)
         if len(team) > MAX_TEAM_SIZE:
             raise DataError(f"record {rec.record_id!r} has {len(team)} distinct authors, "
                             f"more than the {MAX_TEAM_SIZE} a graph build accepts")

@@ -166,17 +166,10 @@ def parse_records(stream: str | IO[str] | Iterable[str]) -> list[BiblioRecord]:
         if not authors:
             skipped_anonymous += 1
             continue
-        # int() skips surrounding whitespace on its own
-        try:
-            year = int(fields[py])
-        except ValueError:
-            raise _non_integer("PY", fields[py], line_no) from None
+        year = _int_field(fields[py], "PY", line_no)
         if not YEAR_MIN <= year <= YEAR_MAX:
             raise ParseError(f"line {line_no}: year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
-        try:
-            times_cited = int(fields[tc])
-        except ValueError:
-            raise _non_integer("TC", fields[tc], line_no) from None
+        times_cited = _int_field(fields[tc], "TC", line_no)
         if times_cited < 0:
             raise ParseError(f"line {line_no}: negative citation count {times_cited}")
         record_id = fields[ut].strip()
@@ -195,8 +188,11 @@ def parse_records(stream: str | IO[str] | Iterable[str]) -> list[BiblioRecord]:
     return records
 
 
-def _non_integer(column: str, value: str, line_no: int) -> ParseError:
-    return ParseError(f"line {line_no}: non-integer {column} value {value.strip()!r}")
+def _int_field(value: str, column: str, line_no: int) -> int:
+    try:
+        return int(value)  # int() skips surrounding whitespace on its own
+    except ValueError:
+        raise ParseError(f"line {line_no}: non-integer {column} value {value.strip()!r}") from None
 
 
 def filter_documents(
@@ -216,19 +212,16 @@ def filter_documents(
 def normalize_records(records: Iterable[BiblioRecord]) -> list[BiblioRecord]:
     """Normalize every author name and collapse within-paper duplicates.
 
-    Each distinct raw name is normalized once per call. Raises DataError
+    Every authorship is normalized on its own: most raw names occur once,
+    so a memo of them would cost more than it saves. Raises DataError
     naming the first record that carries a name with no usable content.
     """
-    keys: dict[str, str] = {}
     out = []
     for rec in records:
-        for raw in rec.authors:
-            if raw not in keys:
-                try:
-                    keys[raw] = normalize_author(raw)
-                except DataError as exc:
-                    raise DataError(f"record {rec.record_id!r}: {exc}") from None
-        out.append(_with_authors(rec, map(keys.__getitem__, rec.authors)))
+        try:
+            out.append(_with_authors(rec, map(normalize_author, rec.authors)))
+        except DataError as exc:
+            raise DataError(f"record {rec.record_id!r}: {exc}") from None
     return out
 
 

@@ -194,8 +194,8 @@ def reference_normalize_author(raw: str) -> str:
 
 
 def reference_normalize(records) -> list[BiblioRecord]:
-    """normalize_records without a memo: every authorship is normalized on
-    its own, and every record is rebuilt through dataclasses.replace."""
+    """normalize_records with every record rebuilt through
+    dataclasses.replace."""
     return [replace(r, authors=tuple(dict.fromkeys(normalize_author(a) for a in r.authors)))
             for r in records]
 

@@ -455,6 +455,14 @@ def bit_identity_graphs() -> list[CoauthGraph]:
     return graphs
 
 
+def deep_pendant_path() -> CoauthGraph:
+    """The path P000-P127 with a pendant P000p on P000. Every searched row
+    stops at level 127, the deepest an int8 holds, and the pendants P000p
+    and P127, derived from P000 and P126, reach level 128."""
+    names = [f"P{i:03d}" for i in range(128)]
+    return from_edges([*zip(names, names[1:]), ("P000", "P000p")])
+
+
 class TestBlockSweepBitIdentity:
     """The block-vectorized sweep equals the per-source Python loops exactly."""
 
@@ -479,6 +487,18 @@ class TestBlockSweepBitIdentity:
         for g in graphs:
             if len(g):
                 assert pagerank(g).scores == python_pagerank(g)
+
+    def test_derived_rows_one_level_past_int8(self):
+        g = deep_pendant_path()
+        a = _numeric.csr_view(g)
+        p = _numeric.plan(a)
+        searched, deepest = set(p.searched.tolist()), {}
+        for sources, dist in _numeric.distance_rows(a, p):
+            kind = int(sources[0]) in searched  # a block is searched or derived
+            deepest[kind] = max(deepest.get(kind, 0), int(dist.max()))
+        assert deepest == {True: 127, False: 128}
+        assert closeness_centrality(g).scores == python_closeness(g)
+        assert mean_distance(g) == python_mean_distance(g)
 
     def test_path_counts_beyond_float_precision_use_exact_loop(self, monkeypatch):
         g = diamond_chain(70)

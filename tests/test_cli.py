@@ -533,6 +533,15 @@ class TestCliPlumbing:
         assert ((tmp_path / "bom" / "fits.csv").read_bytes()
                 == (tmp_path / "plain" / "fits.csv").read_bytes())
 
+    def test_series_with_a_year_out_of_sequence_exits_2_naming_line(self, tmp_path, caplog):
+        series = tmp_path / "series.csv"
+        series.write_text("year,papers,authors\n1988,10,12\n1995,20,25\n1990,30,33\n",
+                          encoding="utf-8")
+        with caplog.at_level(logging.ERROR):
+            assert run("fit", "--series", str(series), "--output-dir", str(tmp_path / "o")) == 2
+        assert "growth series line 3: year 1995 does not follow 1988" in caplog.text
+        assert not (tmp_path / "o").exists()
+
     def test_merge_map_name_without_content_exits_1_naming_line(self, tmp_path, caplog):
         merge_map = tmp_path / "merge.csv"
         merge_map.write_text('# variants\n"Meho, L","Meho, LI"\n". ,","Yang, K"\n',

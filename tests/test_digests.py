@@ -1,7 +1,8 @@
 """Output digests of all five commands on seeded paper-shaped corpora.
 
 The goldens cover only the 36-record fixture. Here each command runs on a
-corpus from ``perfbench/corpus.py``, and the SHA-256 of every file it writes
+corpus from ``perfbench/corpus.py``, tier 1 also runs ``centrality`` and
+``correlate`` with ``--whole-graph``, and the SHA-256 of every file written
 must equal the one committed in ``tests/data/digests.json``. ``run.json`` is
 hashed without ``output_dir``; the run works in the corpus directory with
 relative paths, so no other field names a temporary path. A digest changes
@@ -27,11 +28,17 @@ ROOT = Path(__file__).resolve().parents[1]
 SERIES = ROOT / "src" / "coauthnet" / "data" / "lis_growth_1988_2007.csv"
 DIGESTS = json.loads((Path(__file__).parent / "data" / "digests.json").read_text(encoding="utf-8"))
 COMMANDS = {
-    "stats": (),
-    "centrality": (),
-    "evolve": ("--start-year", "1988", "--slices", "1992,1997,2002,2007"),
-    "correlate": (),
-    "fit": (),
+    "stats": ("stats",),
+    "centrality": ("centrality",),
+    "evolve": ("evolve", "--start-year", "1988", "--slices", "1992,1997,2002,2007"),
+    "correlate": ("correlate",),
+    "fit": ("fit",),
+}
+# Tier 1 only: no golden covers whole-graph scores, and the paper-scale tier
+# keeps its run time.
+WHOLE_GRAPH = {
+    "centrality-whole-graph": ("centrality", "--whole-graph"),
+    "correlate-whole-graph": ("correlate", "--whole-graph"),
 }
 
 
@@ -42,21 +49,21 @@ def write_corpus(workdir: Path, scale: float, seed: int) -> None:
     corpus.write_corpus(workdir, scale, seed, SERIES)
 
 
-def output_digests(workdir: Path) -> dict[str, str]:
-    """Run every command on workdir's corpus; SHA-256 of each output file,
-    keyed by ``command/file name``."""
+def output_digests(workdir: Path, commands: dict[str, tuple[str, ...]]) -> dict[str, str]:
+    """Run each command on workdir's corpus into the output directory it is
+    keyed by; SHA-256 of each output file, keyed by ``directory/file name``."""
     digests = {}
-    for command, extra in COMMANDS.items():
+    for out, (command, *extra) in commands.items():
         argv = [command, "--input", "corpus.tsv", "--merge-map", "merge_map.csv",
-                "--output-dir", command, *extra]
-        assert main(argv) == 0, command
-        for path in sorted((workdir / command).iterdir()):
+                "--output-dir", out, *extra]
+        assert main(argv) == 0, out
+        for path in sorted((workdir / out).iterdir()):
             data = path.read_bytes()
             if path.name == "run.json":
                 manifest = json.loads(data)
                 del manifest["output_dir"]
                 data = json.dumps(manifest, sort_keys=True, indent=2).encode()
-            digests[f"{command}/{path.name}"] = hashlib.sha256(data).hexdigest()
+            digests[f"{out}/{path.name}"] = hashlib.sha256(data).hexdigest()
     return digests
 
 
@@ -67,4 +74,5 @@ def test_output_digests_unchanged(tier, tmp_path, monkeypatch):
     expected = DIGESTS[tier]
     write_corpus(tmp_path, expected["scale"], expected["seed"])
     monkeypatch.chdir(tmp_path)
-    assert output_digests(tmp_path) == expected["digests"]
+    commands = COMMANDS | WHOLE_GRAPH if tier == "tier1" else COMMANDS
+    assert output_digests(tmp_path, commands) == expected["digests"]

@@ -172,7 +172,11 @@ class TestSerialization:
         ("year,papers\n1990,1\n", "header must be year,papers,authors"),
         ("year,papers,authors\n1990,1\n", "line 2: expected 3 columns"),
         ("year,papers,authors\n1990,1,2\n1991,3,many\n", "line 3: non-integer value"),
-    ], ids=["empty", "bad header", "short row", "non-integer"])
+        ("year,papers,authors\n1990,1,2\n1989,3,4\n", "line 3: year 1989 does not follow 1990"),
+        ("year,papers,authors\n1990,1,2\n\n1990,3,4\n", "line 4: year 1990 does not follow 1990"),
+        ("year,papers,authors\n1990,1,2\n1991,3,4\n1995,5,6\n",
+         "line 4: year 1995 does not follow 1991"),
+    ], ids=["empty", "bad header", "short row", "non-integer", "out of order", "repeated", "gap"])
     def test_growth_csv_errors(self, text, message):
         with pytest.raises(ParseError, match=message):
             parse_growth_csv(text)
