@@ -1,11 +1,12 @@
 """numpy kernels of graph and centrality, which import this module on
 first call; no other module imports numpy, and none of them needs scipy.
 
-A graph is read as plain CSR arrays that csr_view builds on each call,
-its row pointers, column indices and arc tails. One bit-parallel sweep,
-64 sources per machine word, gives the hop distances behind mean distance,
-closeness and betweenness; betweenness rebuilds each search's visiting
-order from the distances alone. Index order is lexicographic order, and
+Each entry (distance_sum, closeness_sums, betweenness_sums, pagerank_power)
+takes a CoauthGraph and reads it as the CSR arrays csr_view builds: row
+pointers, column indices and arc tails. One bit-parallel sweep, 64 sources
+per machine word, gives the hop distances behind mean distance, closeness
+and betweenness; betweenness rebuilds each search's visiting order from
+the distances alone. Index order is lexicographic order, and
 every sum adds in the order of the per-source Python loop it replaces, so
 the results are that loop's bits.
 
@@ -36,12 +37,12 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import chain
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .graph import CoauthGraph
+from .graph import CoauthGraph, _bfs
 
 # A CSR view: row pointers, ascending column indices per row, each arc's row.
 Csr = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -209,9 +210,9 @@ def distance_rows(a: Csr, p: Plan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             yield t, d
 
 
-def distance_sum(a: Csr) -> int:
-    """Hop distances summed over ordered pairs of a connected view, in int64."""
-    n = len(a[0]) - 1
+def distance_sum(g: CoauthGraph) -> int:
+    """Hop distances summed over ordered pairs of a connected graph, in int64."""
+    a, n = csr_view(g), len(g)
     p = plan(a)
     sums = np.zeros(n, dtype=np.int64)
     for sources, dist in sweep(a, p.searched):
@@ -220,9 +221,9 @@ def distance_sum(a: Csr) -> int:
     return int(sums.sum())
 
 
-def closeness_sums(a: Csr) -> list[float]:
+def closeness_sums(g: CoauthGraph) -> list[float]:
     """Sum over reachable others of 1/distance, for every vertex."""
-    values = np.zeros(len(a[0]) - 1)
+    a, values = csr_view(g), np.zeros(len(g))
     for sources, dist in distance_rows(a, plan(a)):
         # cumsum adds each row left to right, the order of a Python sum; no
         # name holds the reciprocals, so they are freed before the next block
@@ -236,6 +237,32 @@ def closeness_sums(a: Csr) -> list[float]:
 DEPENDENCY_ROWS = 16
 
 
+def _source_dependencies(adj: list[dict[int, int]], s: int) -> list[float]:
+    """Brandes' dependency of every vertex on source s (0.0 for s itself).
+
+    Geodesic counts sigma are exact Python integers, summed forward in BFS
+    order; dependencies delta are pushed back to the predecessors in reverse
+    BFS order, neighbours in index order. block_dependencies makes the same
+    additions in the same order and falls back to this loop once a path
+    count reaches 2**53.
+    """
+    order, dist = _bfs(adj, s)
+    n = len(adj)
+    sigma = [0] * n
+    sigma[s] = 1
+    for w in order[1:]:
+        up = dist[w] - 1
+        sigma[w] = sum(sigma[v] for v in adj[w] if dist[v] == up)
+    delta = [0.0] * n
+    for w in reversed(order):
+        up, share = dist[w] - 1, 1.0 + delta[w]
+        for v in adj[w]:
+            if dist[v] == up:
+                delta[v] += sigma[v] / sigma[w] * share
+    delta[s] = 0.0
+    return delta
+
+
 def block_dependencies(a: Csr, sources: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dependencies of every vertex on each source of one block of sweep
     rows, and for each source whether a path count reached 2**53.
@@ -247,9 +274,9 @@ def block_dependencies(a: Csr, sources: np.ndarray, dist: np.ndarray) -> tuple[n
     ranks follow from the previous level's. The delta loop takes the
     levels deepest first, each in w's visiting order descending, through
     np.add.at, which applies repeated indices in the order given: every
-    delta receives the additions of centrality._source_dependencies in its
-    order. The arcs of one w reach distinct v, so their relative order
-    changes no delta, and sigma sums are exact in any order.
+    delta receives the additions of _source_dependencies in its order. The
+    arcs of one w reach distinct v, so their relative order changes no
+    delta, and sigma sums are exact in any order.
     """
     _, indices, arc_w = a
     k, n = dist.shape
@@ -300,29 +327,28 @@ def block_dependencies(a: Csr, sources: np.ndarray, dist: np.ndarray) -> tuple[n
     return delta, sigma.reshape(k, n).max(axis=1) >= 2.0**53
 
 
-def searched_dependencies(g: CoauthGraph, a: Csr, exact: Callable,
-                          sources: np.ndarray) -> Iterator[np.ndarray]:
+def searched_dependencies(g: CoauthGraph, a: Csr, sources: np.ndarray) -> Iterator[np.ndarray]:
     """Dependency row of each of the ascending sources, in order; a source
-    whose path counts reach 2**53 takes it from exact(g._adj, source)."""
+    whose path counts reach 2**53 takes it from _source_dependencies."""
     for block, dist in sweep(a, sources):
         for lo in range(0, len(block), DEPENDENCY_ROWS):
             rows = slice(lo, lo + DEPENDENCY_ROWS)
             delta, inexact = block_dependencies(a, block[rows], dist[rows])
             for s, row, redo in zip(block[rows].tolist(), delta, inexact.tolist()):
-                yield np.array(exact(g._adj, s)) if redo else row
+                yield np.array(_source_dependencies(g._adj, s)) if redo else row
             del delta, row  # so the block is freed before the next is made
 
 
-def betweenness_sums(g: CoauthGraph, a: Csr, exact: Callable) -> list[float]:
+def betweenness_sums(g: CoauthGraph) -> list[float]:
     """Dependencies summed in source order and halved. A derived source's
     row is its representative's, held until the group's last member, with
     the anchor's entry replaced for a pendant group."""
+    a, n = csr_view(g), len(g)
     indptr, indices, _ = a
-    n = len(g)
     p = plan(a, HELD_BYTES // (8 * max(n, 1)))
     derived = dict(zip(p.derived.tolist(), zip(p.rep.tolist(), p.anchor.tolist())))
     last = dict(zip(p.rep.tolist(), p.derived.tolist()))  # derived is ascending
-    searched = searched_dependencies(g, a, exact, p.searched)
+    searched = searched_dependencies(g, a, p.searched)
     held: dict[int, np.ndarray] = {}
     totals = np.zeros(n)
     for t in range(n):
@@ -349,11 +375,11 @@ def betweenness_sums(g: CoauthGraph, a: Csr, exact: Callable) -> list[float]:
     return (totals / 2.0).tolist()
 
 
-def pagerank_power(a: Csr, damping: float, tol: float, max_iter: int) -> list[float]:
+def pagerank_power(g: CoauthGraph, damping: float, tol: float, max_iter: int) -> list[float]:
     """Power iteration from the uniform vector until the L1 change drops
     below tol; ConvergenceError once max_iter passes first."""
-    indptr, indices, row_of_arc = a
-    n = len(indptr) - 1
+    indptr, indices, row_of_arc = csr_view(g)
+    n = len(g)
     degree = np.diff(indptr)
     dangling = degree == 0
     spread = np.maximum(degree, 1)  # a dangling vertex's share is never read

@@ -27,7 +27,7 @@ from typing import Mapping
 
 from ._csvtext import csv_text
 from .errors import ConfigError, DataError
-from .graph import CoauthGraph, _bfs
+from .graph import CoauthGraph
 
 __all__ = ["CentralityVector", "RankTable", "betweenness_centrality", "closeness_centrality",
            "degree_centrality", "ordinal_ranks", "pagerank", "rank_table"]
@@ -63,34 +63,8 @@ def degree_centrality(g: CoauthGraph) -> CentralityVector:
 def closeness_centrality(g: CoauthGraph) -> CentralityVector:
     """Sum over reachable others of 1/distance; unreachable pairs add 0."""
     from . import _numeric
-    sums = _numeric.closeness_sums(_numeric.csr_view(g))
+    sums = _numeric.closeness_sums(g)
     return CentralityVector("closeness", dict(zip(g._names, sums)))
-
-
-def _source_dependencies(adj: list[dict[int, int]], s: int) -> list[float]:
-    """Brandes' dependency of every vertex on source s (0.0 for s itself).
-
-    Geodesic counts sigma are exact Python integers, summed forward in BFS
-    order; dependencies delta are pushed back to the predecessors in reverse
-    BFS order, neighbours in index order. The block kernel of
-    betweenness_centrality performs the same additions in the same order
-    and falls back to this loop when a path count reaches 2**53.
-    """
-    order, dist = _bfs(adj, s)
-    n = len(adj)
-    sigma = [0] * n
-    sigma[s] = 1
-    for w in order[1:]:
-        up = dist[w] - 1
-        sigma[w] = sum(sigma[v] for v in adj[w] if dist[v] == up)
-    delta = [0.0] * n
-    for w in reversed(order):
-        up, share = dist[w] - 1, 1.0 + delta[w]
-        for v in adj[w]:
-            if dist[v] == up:
-                delta[v] += sigma[v] / sigma[w] * share
-    delta[s] = 0.0
-    return delta
 
 
 def betweenness_centrality(g: CoauthGraph) -> CentralityVector:
@@ -98,14 +72,14 @@ def betweenness_centrality(g: CoauthGraph) -> CentralityVector:
 
     Brandes' accumulation, vectorized over blocks of sources: each source's
     dependencies are added to the running totals in source order, so the
-    scores equal the per-source Python loop's (_source_dependencies) bit for
+    scores equal ``_numeric._source_dependencies``'s per-source loop bit for
     bit. A closed twin's or pendant group member's row is derived from its
     group's first member, whose row is held until the group's last member;
     the held rows are capped at ``_numeric.HELD_BYTES`` (16 MiB), so memory
     stays linear in the graph size.
     """
     from . import _numeric
-    totals = _numeric.betweenness_sums(g, _numeric.csr_view(g), _source_dependencies)
+    totals = _numeric.betweenness_sums(g)
     return CentralityVector("betweenness", dict(zip(g._names, totals)))
 
 
@@ -134,7 +108,7 @@ def pagerank(
     if not len(g):
         raise DataError("pagerank: graph has no vertices")
     from . import _numeric
-    rank = _numeric.pagerank_power(_numeric.csr_view(g), damping, tol, max_iter)
+    rank = _numeric.pagerank_power(g, damping, tol, max_iter)
     return CentralityVector("pagerank", dict(zip(g._names, rank)))
 
 

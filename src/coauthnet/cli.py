@@ -280,7 +280,7 @@ def _read_text(path_str: str, what: str, error: type[CoauthNetError] = ConfigErr
     if not path.is_file():
         raise ConfigError(f"{what} not found: {path}")
     try:
-        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
+        return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path}: not valid UTF-8 at byte offset {exc.start}") from None
 
@@ -466,9 +466,9 @@ def main(argv: list[str] | None = None) -> int:
     No command does BLAS work, so OpenBLAS's worker threads would only spin
     idle: unless it is already set, ``OPENBLAS_NUM_THREADS`` is 1 while main
     runs, which numpy reads when a kernel first loads it, and is unset again
-    on return. The pipeline makes no reference cycles, so the cyclic garbage
-    collector, which would walk every live record and row over and over, is
-    paused while main runs and re-enabled on return if it was enabled on entry.
+    on return. Records, rows and CSR arrays make no reference cycles, so the
+    cyclic garbage collector is paused while main runs; if it was on, it is
+    back on at return and frees the few hundred cyclic objects a run leaves.
     """
     blas_preset = "OPENBLAS_NUM_THREADS" in os.environ
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -221,7 +221,7 @@ def mean_distance(g: CoauthGraph) -> float:
         raise DataError("mean_distance: largest component has no vertex pair")
     pairs = n * (n - 1) // 2
     from . import _numeric
-    return (_numeric.distance_sum(_numeric.csr_view(g)) // 2) / pairs
+    return (_numeric.distance_sum(g) // 2) / pairs
 
 
 def _largest_with_distance(g: CoauthGraph) -> tuple[CoauthGraph, float, float]:

@@ -17,6 +17,7 @@ import io
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Iterable, Iterator, Mapping
 
 from .errors import ConfigError, DataError, ParseError
@@ -122,9 +123,10 @@ def _with_authors(rec: BiblioRecord, keys: Iterable[str]) -> BiblioRecord:
 
 
 def _lines(stream: str | IO[str] | Iterable[str]) -> Iterator[str]:
-    if isinstance(stream, str):
-        return iter(io.StringIO(stream))
-    return iter(stream)
+    """Lines of a text, stream or iterable, one leading byte order mark dropped."""
+    lines = iter(io.StringIO(stream) if isinstance(stream, str) else stream)
+    first = next(lines, "").removeprefix("\ufeff")
+    return chain([first], lines) if first else lines
 
 
 def parse_records(stream: str | IO[str] | Iterable[str]) -> list[BiblioRecord]:
@@ -143,7 +145,7 @@ def parse_records(stream: str | IO[str] | Iterable[str]) -> list[BiblioRecord]:
     header_line = next(lines, None)
     if header_line is None:
         raise ParseError("input is empty: missing header row")
-    header = [h.strip() for h in header_line.lstrip("﻿").rstrip("\r\n").split("\t")]
+    header = [h.strip() for h in header_line.rstrip("\r\n").split("\t")]
     columns = {name: i for i, name in enumerate(header)}
     missing = [c for c in REQUIRED_COLUMNS if c not in columns]
     if missing:
@@ -265,15 +267,13 @@ class AuthorMergeMap:
             raw[v] = c
         resolved: dict[str, str] = {}
         for start in raw:
-            chain = [start]
-            cur = start
-            while cur in raw:
+            walk, cur = {}, start  # a dict: the chain in order, and its visited set
+            while cur in raw and cur not in resolved:
+                if cur in walk:
+                    raise ConfigError("merge map cycle: " + " -> ".join([*walk, cur]))
+                walk[cur] = None
                 cur = raw[cur]
-                if cur in chain:
-                    raise ConfigError("merge map cycle: " + " -> ".join(chain + [cur]))
-                chain.append(cur)
-            for node in chain[:-1]:
-                resolved[node] = cur
+            resolved.update(dict.fromkeys(walk, resolved.get(cur, cur)))
         return cls(entries=resolved)
 
     @classmethod

@@ -26,7 +26,7 @@ from coauthnet import (
     pagerank,
     rank_table,
 )
-from coauthnet import _numeric, centrality
+from coauthnet import _numeric
 from coauthnet.centrality import CentralityVector, render_rank_csv, render_vector_csv
 from coauthnet.graph import _bfs
 from oracles import (
@@ -318,7 +318,7 @@ def python_betweenness(g: CoauthGraph) -> dict[str, float]:
     names, adj = g._names, g._adj
     totals = [0.0] * len(names)
     for s in range(len(names)):
-        for v, d in enumerate(centrality._source_dependencies(adj, s)):
+        for v, d in enumerate(_numeric._source_dependencies(adj, s)):
             totals[v] += d
     return {v: t / 2.0 for v, t in zip(names, totals)}
 
@@ -504,13 +504,13 @@ class TestBlockSweepBitIdentity:
         g = diamond_chain(70)
         expected = python_betweenness(g)
         calls = []
-        exact = centrality._source_dependencies
+        exact = _numeric._source_dependencies
 
         def counted(adj, s):
             calls.append(s)
             return exact(adj, s)
 
-        monkeypatch.setattr(centrality, "_source_dependencies", counted)
+        monkeypatch.setattr(_numeric, "_source_dependencies", counted)
         assert betweenness_centrality(g).scores == expected
         # only sources near an end see 2**53 or more geodesics to some vertex
         assert 0 < len(calls) < len(g)
@@ -570,13 +570,13 @@ class TestDerivedSources:
         g = fallback_chain()
         expected = python_betweenness(g)
         calls = []
-        exact = centrality._source_dependencies
+        exact = _numeric._source_dependencies
 
         def counted(adj, s):
             calls.append(g.vertices()[s])
             return exact(adj, s)
 
-        monkeypatch.setattr(centrality, "_source_dependencies", counted)
+        monkeypatch.setattr(_numeric, "_source_dependencies", counted)
         assert betweenness_centrality(g).scores == expected
         assert {"A", "D000", "D000a"} <= set(calls)
         assert not {"D000b", "D000p", "D070", "Z"} & set(calls)

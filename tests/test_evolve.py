@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import logging
 from random import Random
 
@@ -166,6 +167,10 @@ class TestSerialization:
     def test_growth_csv_skips_blank_rows(self):
         text = "year,papers,authors\n1990,1,2\n\n,, \n1991,3,4\n"
         assert parse_growth_csv(text) == [(1990, 1, 2), (1991, 3, 4)]
+
+    def test_growth_csv_drops_a_leading_byte_order_mark(self):
+        text = "year,papers,authors\n1990,1,2\n1991,3,4\n"
+        assert parse_growth_csv(io.StringIO("\ufeff" + text)) == parse_growth_csv(io.StringIO(text))
 
     @pytest.mark.parametrize("text, message", [
         ("", "header must be year,papers,authors"),

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import io
 import logging
 import pickle
+import time
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 from random import Random
@@ -99,6 +101,9 @@ class TestParseRecords:
     def test_crlf_and_bom(self):
         text = "﻿" + HEADER + "\r\nW1\tA, X\t1990\tArticle\t1\tJ\r\n"
         assert len(parse_records(text)) == 1
+        assert parse_records(io.StringIO(text)) == parse_records(io.StringIO(text[1:]))
+        with pytest.raises(ParseError, match="input is empty"):
+            parse_records(io.StringIO("\ufeff"))
 
     def test_missing_column_named(self):
         with pytest.raises(ParseError, match="TC"):
@@ -293,6 +298,33 @@ class TestMergeMap:
     def test_csv_wrong_column_count(self):
         with pytest.raises(ConfigError, match="line 1"):
             AuthorMergeMap.from_csv('"A, X","B, X","C, X"\n')
+
+    def test_csv_drops_a_leading_byte_order_mark(self):
+        for text in ('Meho L,Meho LI\n', '"Meho, L","Meho, LI"\n'):
+            expected = AuthorMergeMap.from_csv(io.StringIO(text))
+            assert AuthorMergeMap.from_csv(io.StringIO("\ufeff" + text)) == expected
+            assert expected.entries == {"MEHO, L": "MEHO, LI"}
+
+
+class TestMergeMapScaling:
+    @staticmethod
+    def best_time(pairs: list[tuple[str, str]]) -> float:
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            AuthorMergeMap.from_pairs(pairs)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_chain_time_grows_linearly(self, order):
+        def chain(links: int) -> list[tuple[str, str]]:
+            pairs = [(f"A{i:05d}, X", f"A{i + 1:05d}, X") for i in range(links)]
+            return pairs if order == "forward" else pairs[::-1]
+
+        # 4x the links: linear work gives 4x, a walk of the whole chain
+        # from every variant 16x, with a list for its visited set 64x
+        assert self.best_time(chain(800)) < 8 * self.best_time(chain(200))
 
 
 # Persons by canonical key, and raw spellings that normalize onto each key.
