@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Mapping
 
 from ._csvtext import csv_text
@@ -113,10 +112,11 @@ def pagerank(
 
 
 def rank_table(cv: CentralityVector, top_n: int) -> RankTable:
-    """Top-N rows sorted by score descending, author ascending on ties."""
+    """Top-N rows sorted by score descending, author ascending on ties; every row
+    once top_n reaches the vertex count, however large it is."""
     if top_n < 1:
         raise DataError(f"top_n must be >= 1, got {top_n}")
-    ranks = islice(ordinal_ranks(cv.scores).items(), top_n)
+    ranks = list(ordinal_ranks(cv.scores).items())[:top_n]
     return RankTable(rows=tuple((rank, author, cv.scores[author]) for author, rank in ranks))
 
 

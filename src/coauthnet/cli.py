@@ -12,12 +12,14 @@ Exit codes: 0 success, 1 usage or configuration error (a ``--tol`` that is
 not a positive finite number, NaN and infinity included, a ``--start-year``
 outside the years a record may carry, more ``--histogram-bins`` than
 ``stats.MAX_HISTOGRAM_BINS``, ``evolve`` without ``--slices`` or with
-boundaries that are not strictly increasing, or a merge map that is not
-UTF-8; once the corpus is read, a ``--start-year`` after its last year, for
-``fit`` one before its first year or after its last year minus 2, or for
-``evolve`` a ``--slices`` boundary before the start year), 2 data error
-(an input or series file that is not UTF-8), 3 convergence error. ``stats``
-on a corpus where no record has two authors reports a mean distance of 0.0.
+boundaries that are not strictly increasing or lie outside those years,
+or a merge map that is not UTF-8; once the corpus is read, a
+``--start-year`` after its last year, for ``fit`` one before its first
+year or after its last year minus 2, or for ``evolve`` a ``--slices``
+boundary before the start year), 2 data error (an input or series file
+that is not UTF-8; the message names a series ``fit`` cannot fit and an
+empty ``evolve`` slice's years), 3 convergence error. ``stats`` on a
+corpus where no record has two authors reports a mean distance of 0.0.
 A UTF-8 byte order mark at the start of any file read is dropped.
 """
 
@@ -77,6 +79,7 @@ from .ingest import (
 )
 from .stats import (
     MAX_HISTOGRAM_BINS,
+    PowerFit,
     _degree_rows,
     _largest_degrees,
     correlation_matrix,
@@ -269,6 +272,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(
             f"--start-year must lie in [{YEAR_MIN}, {YEAR_MAX}], got {cfg.start_year}")
     bounds = cfg.slice_boundaries
+    for year in bounds:
+        if not YEAR_MIN <= year <= YEAR_MAX:
+            raise ConfigError(f"--slices boundary {year} must lie in [{YEAR_MIN}, {YEAR_MAX}]")
     if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
         raise ConfigError("--slices must be strictly increasing, got "
                           + ",".join(map(str, bounds)))
@@ -440,6 +446,14 @@ def cmd_correlate(cfg: RunConfig) -> Outputs:
     return files, {"n": report.n}
 
 
+def _named_fit(name: str, points: list[tuple[int, float]]) -> tuple[str, PowerFit]:
+    """``(name, power_fit(points))``; a DataError names the series that failed."""
+    try:
+        return name, power_fit(points)
+    except DataError as exc:
+        raise DataError(f"{name}: {exc}") from exc
+
+
 def cmd_fit(cfg: RunConfig) -> Outputs:
     resolved: dict[str, object] = {}
     if cfg.series_path is not None:
@@ -450,13 +464,13 @@ def cmd_fit(cfg: RunConfig) -> Outputs:
         start, end = _year_range(cfg, records, fit=True)
         rows = growth_series(records, start, end)
         resolved.update(start_year=start, end_year=end)
-    fits = [(name, power_fit([(t, row[col]) for t, row in enumerate(rows, start=1)]))
+    fits = [_named_fit(name, [(t, row[col]) for t, row in enumerate(rows, start=1)])
             for col, name in ((1, "papers"), (2, "authors"))]
     if records is not None:
         g = build_graph(records)
         degree_rows = (_largest_degree_rows(g) if cfg.restrict_to_largest
                        else degree_distribution(g))
-        fits.append(("degree_distribution", power_fit(degree_rows)))
+        fits.append(_named_fit("degree_distribution", degree_rows))
     return {"fits.csv": render_fit_csv(fits)}, resolved
 
 

@@ -93,7 +93,7 @@ def slice_report(ts: TimeSlice) -> SliceReport:
     g = ts.graph
     n = len(g)
     if n == 0:
-        raise DataError("slice_report: empty slice")
+        raise DataError(f"slice_report: slice {ts.start_year}-{ts.end_year} is empty")
     largest, ratio, avg_distance = _largest_with_distance(g)
     return SliceReport(
         start_year=ts.start_year,

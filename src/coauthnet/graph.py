@@ -16,9 +16,8 @@ from ._csvtext import csv_text
 from .errors import DataError
 from .ingest import BiblioRecord, _dedupe
 
-__all__ = ["CoauthGraph", "ComponentPartition", "SummaryStats", "build_graph",
-           "clustering_coefficient", "connected_components", "largest_component",
-           "mean_distance", "summary_stats"]
+__all__ = ["CoauthGraph", "SummaryStats", "build_graph", "clustering_coefficient",
+           "connected_components", "largest_component", "mean_distance", "summary_stats"]
 
 
 class CoauthGraph:
@@ -142,42 +141,26 @@ def build_graph(records: Iterable[BiblioRecord]) -> CoauthGraph:
     return g._fill(names, rows, len(teams), sum(map(len, teams)))
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
-    """Connected-component labeling.
+def connected_components(g: CoauthGraph) -> list[list[int]]:
+    """Components as lists of vertex positions (indices into ``g.vertices()``).
 
-    Component ids are assigned in decreasing size order (id 0 is the largest
-    component; size ties broken by smallest member key).
+    Each list is ascending; the largest comes first, and size ties go to
+    the smallest position, hence the smallest key. One _bfs per unreached
+    vertex in index order, all sharing one distance list, finds them. It is
+    the one labeler: largest_component and fit's degree read call it.
     """
-
-    assignment: dict[str, int]
-    sizes: dict[int, int]
-
-
-def _component_groups(g: CoauthGraph) -> list[list[int]]:
-    """Components as index groups, one _bfs each: largest first, ties by smallest index."""
     dist = [-1] * len(g._adj)
-    members = [_bfs(g._adj, s, dist)[0] for s in range(len(dist)) if dist[s] < 0]
-    # a group's first member is its smallest index, hence its smallest key
-    members.sort(key=lambda group: (-len(group), group[0]))
-    return members
-
-
-def connected_components(g: CoauthGraph) -> ComponentPartition:
-    """Label connected components, one _bfs per unreached vertex in index order."""
-    names, groups = g._names, _component_groups(g)
-    return ComponentPartition(
-        assignment={names[v]: cid for cid, group in enumerate(groups) for v in group},
-        sizes={cid: len(group) for cid, group in enumerate(groups)},
-    )
+    groups = [sorted(_bfs(g._adj, s, dist)[0]) for s in range(len(dist)) if dist[s] < 0]
+    groups.sort(key=lambda group: (-len(group), group[0]))
+    return groups
 
 
 def largest_component(g: CoauthGraph) -> tuple[CoauthGraph, float]:
     """Induced subgraph of the largest component and its vertex-count ratio."""
     if len(g) == 0:
         raise DataError("largest_component: graph has no vertices")
-    group = _component_groups(g)[0]
-    return g._induced(sorted(group)), len(group) / len(g)
+    group = connected_components(g)[0]
+    return g._induced(group), len(group) / len(g)
 
 
 def _bfs(adj: list[dict[int, int]], s: int,
@@ -187,7 +170,7 @@ def _bfs(adj: list[dict[int, int]], s: int,
     Returns the vertices in BFS visiting order (s first, neighbours in
     index order) and the distances, -1 where unreached. A given ``dist`` is
     filled in place and the search enters no vertex it already reaches, so
-    component labeling shares one list across its searches.
+    connected_components shares one list across its searches.
     The exact per-source loops and mean_distance's connectivity check run
     on it; the numpy sweep behind the distance measures equals it.
     """

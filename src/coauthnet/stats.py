@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 from ._csvtext import csv_text
 from .centrality import CentralityVector, ordinal_ranks
 from .errors import DataError
-from .graph import CoauthGraph, _component_groups
+from .graph import CoauthGraph, connected_components
 
 __all__ = ["CorrelationReport", "Histogram", "PowerFit", "RankingProfile", "correlation_matrix",
            "degree_distribution", "histogram", "power_fit", "ranking_profile", "spearman"]
@@ -127,7 +127,7 @@ def _largest_degrees(g: CoauthGraph) -> list[int]:
     A component holds every neighbour of its members, so their rows in g
     have their induced degrees.
     """
-    return [len(g._adj[v]) for v in _component_groups(g)[0]]
+    return [len(g._adj[v]) for v in connected_components(g)[0]]
 
 
 def _degree_rows(degrees: Iterable[int]) -> list[tuple[int, float]]:

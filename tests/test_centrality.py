@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import time
 import tracemalloc
 from functools import partial
@@ -38,7 +39,6 @@ from oracles import (
     pagerank_linear_oracle,
     planted,
     planted_graphs,
-    positions,
     random_coauthor_graph,
     random_graph,
 )
@@ -235,6 +235,11 @@ class TestRankTable:
         assert [(r[1], r[2]) for r in table.rows] == expected
         assert [r[0] for r in table.rows] == list(range(1, 51))
 
+    def test_top_n_beyond_sys_maxsize_gives_every_row(self):
+        cv = CentralityVector("degree", {"A": 3, "B": 5, "C": 5})
+        assert rank_table(cv, sys.maxsize + 1) == rank_table(cv, 3)
+        assert len(rank_table(cv, 10**20).rows) == 3
+
     def test_invalid_top_n(self):
         with pytest.raises(DataError):
             rank_table(CentralityVector("degree", {"A": 1}), 0)
@@ -265,13 +270,13 @@ class TestRelabelingInvariance:
 class TestDisjointUnion:
     def test_union_scores_equal_per_component_scores(self):
         union = random_coauthor_graph(Random(77), (90, 40, 12, 2, 1))
-        partition = connected_components(union)
+        groups = connected_components(union)
+        names = union.vertices()
         for measure in (closeness_centrality, betweenness_centrality):
             scores = measure(union).scores
-            for cid in partition.sizes:
-                members = [v for v, c in partition.assignment.items() if c == cid]
-                alone = measure(union._induced(positions(union, members))).scores
-                assert alone == {v: scores[v] for v in members}  # exact
+            for group in groups:
+                alone = measure(union._induced(group)).scores
+                assert alone == {names[v]: scores[names[v]] for v in group}  # exact
 
 
 class TestBetweennessMemory:

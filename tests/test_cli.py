@@ -206,6 +206,18 @@ class TestCentralityCommand:
             rows = read_rows(out / f"hist_{measure}.csv")
             assert sum(int(r["count"]) for r in rows) == 20  # largest component size
 
+    def test_top_n_beyond_sys_maxsize_ranks_every_author(self, tmp_path):
+        huge, lcc = tmp_path / "huge", tmp_path / "lcc"
+        assert run("centrality", "--input", FIXTURE, "--top-n", "99999999999999999999",
+                   "--output-dir", str(huge)) == 0
+        # 21 authors: the largest component without the merge map
+        assert run("centrality", "--input", FIXTURE, "--top-n", "21",
+                   "--output-dir", str(lcc)) == 0
+        for measure in ("degree", "closeness", "betweenness", "pagerank"):
+            name = f"top_{measure}.csv"
+            assert (huge / name).read_bytes() == (lcc / name).read_bytes()
+            assert len(read_rows(huge / name)) == len(read_rows(huge / f"{measure}.csv")) == 21
+
     def test_convergence_failure_exits_3(self, tmp_path, caplog):
         with caplog.at_level(logging.ERROR):
             code = run("centrality", "--input", FIXTURE, "--output-dir",
@@ -579,11 +591,16 @@ class TestCliPlumbing:
         (("evolve", "--input", FIXTURE, "--slices", "1997,1997"),
          "--slices must be strictly increasing, got 1997,1997"),
         (("evolve", "--input", FIXTURE), "--slices is required for evolve"),
+        (("evolve", "--input", FIXTURE, "--slices", "1899,2007"),
+         "--slices boundary 1899 must lie in [1900, 2100]"),
+        (("evolve", "--input", FIXTURE, "--slices", "1991,99999999999999999999"),
+         "--slices boundary 99999999999999999999 must lie in [1900, 2100]"),
     ], ids=["--tol nan", "--tol inf", "--max-iter 0", "--top-n 0", "--histogram-bins 0",
             "--histogram-bins 10001", "--doc-types ,", "no --input", "--slices 1997,2oo7",
             "evolve --start-year -400000", "evolve --start-year 1899",
             "fit --start-year -20000", "fit --start-year 2101", "--slices 2007,1997",
-            "--slices 1997,1997", "no --slices"])
+            "--slices 1997,1997", "no --slices", "--slices 1899,2007",
+            "--slices 1991,99999999999999999999"])
     def test_bad_value_exits_1_before_loading_corpus(self, tmp_path, caplog, argv, message):
         out = tmp_path / "o"
         with caplog.at_level(logging.INFO):
@@ -628,6 +645,40 @@ class TestCliPlumbing:
             assert run("fit", "--input", str(corpus), *flags, "--output-dir", str(out)) == 2
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert errors == ["fit needs a corpus of at least 3 years to fit growth, got years 1990-1991"]
+        assert not out.exists()
+
+    def test_empty_slice_exits_2_naming_its_years(self, tmp_path, caplog):
+        out = tmp_path / "o"
+        with caplog.at_level(logging.INFO):
+            assert run("evolve", "--input", FIXTURE, "--start-year", "1900",
+                       "--slices", "1901,2007", "--output-dir", str(out)) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == ["slice_report: slice 1900-1901 is empty"]
+        assert not out.exists()
+
+    def test_fit_on_a_one_edge_largest_component_exits_2_naming_the_series(self, tmp_path,
+                                                                          caplog):
+        corpus = tmp_path / "one_edge.tsv"
+        corpus.write_text("UT\tAU\tPY\tDT\tTC\tSO\n"
+                          "W1\tAAA, A; BBB, B\t1990\tArticle\t5\tJ\n"
+                          "W2\tCCC, C\t1991\tArticle\t3\tJ\n"
+                          "W3\tDDD, D\t1992\tArticle\t1\tJ\n", encoding="utf-8")
+        out = tmp_path / "o"
+        with caplog.at_level(logging.INFO):
+            assert run("fit", "--input", str(corpus), "--output-dir", str(out)) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == ["degree_distribution: power_fit needs >= 3 points, got 1"]
+        assert not out.exists()
+
+    def test_series_with_a_zero_count_exits_2_naming_the_series(self, tmp_path, caplog):
+        series = tmp_path / "series.csv"
+        series.write_text("year,papers,authors\n1988,1,1\n1989,2,2\n1990,3,0\n",
+                          encoding="utf-8")
+        out = tmp_path / "o"
+        with caplog.at_level(logging.INFO):
+            assert run("fit", "--series", str(series), "--output-dir", str(out)) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == ["authors: power_fit needs positive coordinates, got (3, 0)"]
         assert not out.exists()
 
     def test_start_year_before_corpus_still_slices(self, tmp_path):

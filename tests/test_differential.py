@@ -100,25 +100,23 @@ def test_edge_order_does_not_change_any_score(name):
 @pytest.mark.parametrize("sizes", [None, (40, 40, 7, 7, 7, 1, 1)], ids=["components", "size-ties"])
 def test_components_match_networkx(sizes):
     g = GRAPHS["components"] if sizes is None else random_coauthor_graph(Random(2012), sizes)
-    parts = connected_components(g)
-    groups: dict[int, set[str]] = {}
-    for v, cid in parts.assignment.items():
-        groups.setdefault(cid, set()).add(v)
-    assert sorted(groups) == list(range(len(groups)))
-    assert parts.sizes == {cid: len(members) for cid, members in groups.items()}
-    assert set(map(frozenset, groups.values())) == set(
+    names = g.vertices()
+    groups = [[names[v] for v in group] for group in connected_components(g)]
+    assert sum(map(len, groups)) == len(g)
+    assert set(map(frozenset, groups)) == set(
         map(frozenset, nx.connected_components(to_networkx(g)))
     )
+    assert all(group == sorted(group) for group in groups)
     # sizes descending, ties broken by smallest key
-    order = [(-len(groups[cid]), min(groups[cid])) for cid in sorted(groups)]
+    order = [(-len(group), min(group)) for group in groups]
     assert order == sorted(order)
 
 
 def test_largest_component_equals_induced_largest_group():
     g = random_coauthor_graph(Random(2012), (40, 40, 7, 7, 7, 1, 1))  # the size-ties graph
-    largest = [v for v, cid in connected_components(g).assignment.items() if cid == 0]
+    largest = connected_components(g)[0]
     lcc, ratio = largest_component(g)
-    assert stored_form(lcc) == stored_form(g._induced(positions(g, largest)))
+    assert stored_form(lcc) == stored_form(g._induced(largest))
     assert ratio == 40 / len(g)
 
 

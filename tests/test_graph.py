@@ -173,41 +173,41 @@ class TestTeamBound:
 class TestConnectedComponents:
     def test_two_disjoint_edges(self):
         g = from_edges([("A", "B"), ("C", "D")])
-        parts = connected_components(g)
-        assert sorted(parts.sizes.values()) == [2, 2]
+        assert connected_components(g) == [[0, 1], [2, 3]]
 
     def test_empty_graph(self):
-        parts = connected_components(CoauthGraph({}))
-        assert parts.assignment == {} and parts.sizes == {}
+        assert connected_components(CoauthGraph({})) == []
 
     def test_ids_ordered_by_size_then_min_key(self):
         g = from_edges([("A", "B"), ("C", "D"), ("E", "F"), ("E", "G")])
-        parts = connected_components(g)
-        assert parts.sizes[0] == 3  # E-F-G is largest
-        assert parts.assignment["E"] == 0
+        names = g.vertices()
+        groups = [[names[v] for v in group] for group in connected_components(g)]
+        assert groups[0] == ["E", "F", "G"]  # E-F-G is largest
         # ties between {A,B} and {C,D} broken by smallest member key
-        assert parts.assignment["A"] == 1 and parts.assignment["C"] == 2
+        assert groups[1:] == [["A", "B"], ["C", "D"]]
 
     def test_matches_label_propagation_oracle(self):
         graphs = [random_graph(Random(seed), min_n=5, max_n=30) for seed in range(20)]
         # many isolated vertices and small components, interleaved in key order
         graphs.append(random_coauthor_graph(Random(20), (6, 3, 3, 2, 2, 2) + (1,) * 15))
         for g in graphs:
-            parts = connected_components(g)
+            groups = connected_components(g)
+            names = g.vertices()
             labels = label_propagation_components(g)
-            for u in g.vertices():
-                for v in g.vertices():
-                    assert (labels[u] == labels[v]) == (
-                        parts.assignment[u] == parts.assignment[v]
-                    )
-            # ids go by size, then by smallest member key, the oracle's label
-            order = {cid: (-parts.sizes[cid], labels[v]) for v, cid in parts.assignment.items()}
-            assert [order[cid] for cid in sorted(order)] == sorted(order.values())
+            component = {names[v]: cid for cid, group in enumerate(groups) for v in group}
+            for u in names:
+                for v in names:
+                    assert (labels[u] == labels[v]) == (component[u] == component[v])
+            assert all(group == sorted(group) for group in groups)
+            # groups go by size, then by smallest member key, the oracle's label
+            order = [(-len(group), labels[names[group[0]]]) for group in groups]
+            assert order == sorted(order)
 
     def test_partition_sizes_sum_to_vertex_count(self):
         g = random_graph(Random(4), max_n=20)
-        parts = connected_components(g)
-        assert sum(parts.sizes.values()) == len(g)
+        groups = connected_components(g)
+        assert sum(map(len, groups)) == len(g)
+        assert sorted(v for group in groups for v in group) == list(range(len(g)))
 
 
 class TestLargestComponent:
@@ -227,7 +227,7 @@ class TestLargestComponent:
     def test_size_agrees_with_partition(self):
         g = random_graph(Random(8), max_n=25)
         sub, _ = largest_component(g)
-        assert len(sub) == connected_components(g).sizes[0]
+        assert len(sub) == len(connected_components(g)[0])
 
     def test_empty_graph_rejected(self):
         with pytest.raises(DataError):
@@ -277,7 +277,7 @@ class TestMeanDistance:
         checked = 0
         for seed in range(15):
             g = random_graph(Random(200 + seed), min_n=4, max_n=12)
-            if connected_components(g).sizes[0] < 2:
+            if len(connected_components(g)[0]) < 2:
                 continue
             assert mean_distance(g) == pytest.approx(mean_distance_oracle(g), abs=1e-12)
             checked += 1
