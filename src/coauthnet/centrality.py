@@ -54,6 +54,25 @@ class RankTable:
     rows: tuple[tuple[int, str, float], ...]
 
 
+def check_count(count: int, name: str) -> None:
+    """Raise ConfigError, naming the argument ``name``, unless count >= 1."""
+    if count < 1:
+        raise ConfigError(f"{name} must be >= 1, got {count}")
+
+
+def check_solver(damping: float, tol: float, max_iter: int,
+                 names: tuple[str, str, str] = ("damping", "tol", "max_iter")) -> None:
+    """Raise ConfigError unless 0 < damping < 1, tol is positive (NaN is not) and
+    finite, and max_iter >= 1; the message names the argument as ``names`` do."""
+    if not 0.0 < damping < 1.0:
+        raise ConfigError(f"{names[0]} must lie in (0, 1), got {damping}")
+    if not tol > 0.0:
+        raise ConfigError(f"{names[1]} must be positive, got {tol}")
+    if math.isinf(tol):
+        raise ConfigError(f"{names[1]} must be finite, got {tol}")
+    check_count(max_iter, names[2])
+
+
 def degree_centrality(g: CoauthGraph) -> CentralityVector:
     """Number of distinct neighbors of each vertex."""
     return CentralityVector("degree", dict(zip(g._names, map(len, g._adj))))
@@ -96,14 +115,7 @@ def pagerank(
 
     Raises ConvergenceError when max_iter passes without reaching tol.
     """
-    if not 0.0 < damping < 1.0:
-        raise ConfigError(f"damping must lie in (0, 1), got {damping}")
-    if not tol > 0.0:
-        raise ConfigError(f"tol must be positive, got {tol}")
-    if math.isinf(tol):
-        raise ConfigError(f"tol must be finite, got {tol}")
-    if max_iter < 1:
-        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
+    check_solver(damping, tol, max_iter)
     if not len(g):
         raise DataError("pagerank: graph has no vertices")
     from . import _numeric
@@ -114,8 +126,7 @@ def pagerank(
 def rank_table(cv: CentralityVector, top_n: int) -> RankTable:
     """Top-N rows sorted by score descending, author ascending on ties; every row
     once top_n reaches the vertex count, however large it is."""
-    if top_n < 1:
-        raise DataError(f"top_n must be >= 1, got {top_n}")
+    check_count(top_n, "top_n")
     ranks = list(ordinal_ranks(cv.scores).items())[:top_n]
     return RankTable(rows=tuple((rank, author, cv.scores[author]) for author, rank in ranks))
 

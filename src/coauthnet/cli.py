@@ -13,7 +13,9 @@ not a positive finite number, NaN and infinity included, a ``--start-year``
 outside the years a record may carry, more ``--histogram-bins`` than
 ``stats.MAX_HISTOGRAM_BINS``, ``evolve`` without ``--slices`` or with
 boundaries that are not strictly increasing or lie outside those years,
-or a merge map that is not UTF-8; once the corpus is read, a
+an ``--output-dir`` that is, or lies under, an existing path that is not a
+directory, an input path that is missing or not a file, or a merge map
+that is not UTF-8; once the corpus is read, a
 ``--start-year`` after its last year, for ``fit`` one before its first
 year or after its last year minus 2, or for ``evolve`` a ``--slices``
 boundary before the start year), 2 data error (an input or series file
@@ -29,7 +31,6 @@ import argparse
 import gc
 import json
 import logging
-import math
 import os
 import sys
 import tempfile
@@ -41,6 +42,8 @@ from .centrality import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     betweenness_centrality,
+    check_count,
+    check_solver,
     closeness_centrality,
     degree_centrality,
     pagerank,
@@ -50,6 +53,7 @@ from .centrality import (
 )
 from .errors import CoauthNetError, ConfigError, ConvergenceError, DataError, ParseError
 from .evolve import (
+    check_boundaries,
     cumulative_slices,
     growth_series,
     parse_growth_csv,
@@ -73,15 +77,16 @@ from .ingest import (
     BiblioRecord,
     apply_merge_map,
     author_citations,
+    check_doc_types,
     filter_documents,
     normalize_records,
     parse_records,
 )
 from .stats import (
-    MAX_HISTOGRAM_BINS,
     PowerFit,
     _degree_rows,
     _largest_degrees,
+    check_bins,
     correlation_matrix,
     degree_distribution,
     histogram,
@@ -251,40 +256,30 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     clash = [flag for dest, flag in _CORPUS_FLAGS.items() if dest in given]
     if cfg.series_path is not None and clash:
         raise ConfigError("--series cannot be combined with " + ", ".join(clash))
-    if not cfg.doc_types:
-        raise ConfigError("--doc-types must name at least one document type")
-    if not 0.0 < cfg.damping < 1.0:
-        raise ConfigError(f"--damping must lie in (0, 1), got {cfg.damping}")
-    if not cfg.tol > 0.0:
-        raise ConfigError(f"--tol must be positive, got {cfg.tol}")
-    if math.isinf(cfg.tol):
-        raise ConfigError(f"--tol must be finite, got {cfg.tol}")
-    if cfg.max_iter < 1:
-        raise ConfigError(f"--max-iter must be >= 1, got {cfg.max_iter}")
-    if cfg.top_n < 1:
-        raise ConfigError(f"--top-n must be >= 1, got {cfg.top_n}")
-    if cfg.histogram_bins is not None and cfg.histogram_bins < 1:
-        raise ConfigError(f"--histogram-bins must be >= 1, got {cfg.histogram_bins}")
-    if cfg.histogram_bins is not None and cfg.histogram_bins > MAX_HISTOGRAM_BINS:
-        raise ConfigError(
-            f"--histogram-bins must be <= {MAX_HISTOGRAM_BINS}, got {cfg.histogram_bins}")
+    check_doc_types(cfg.doc_types, "--doc-types")
+    check_solver(cfg.damping, cfg.tol, cfg.max_iter, ("--damping", "--tol", "--max-iter"))
+    check_count(cfg.top_n, "--top-n")
+    if cfg.histogram_bins is not None:
+        check_bins(cfg.histogram_bins, "--histogram-bins")
     if cfg.start_year is not None and not YEAR_MIN <= cfg.start_year <= YEAR_MAX:
         raise ConfigError(
             f"--start-year must lie in [{YEAR_MIN}, {YEAR_MAX}], got {cfg.start_year}")
-    bounds = cfg.slice_boundaries
-    for year in bounds:
+    for year in cfg.slice_boundaries:
         if not YEAR_MIN <= year <= YEAR_MAX:
             raise ConfigError(f"--slices boundary {year} must lie in [{YEAR_MIN}, {YEAR_MAX}]")
-    if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-        raise ConfigError("--slices must be strictly increasing, got "
-                          + ",".join(map(str, bounds)))
+    out = Path(cfg.output_dir)
+    for path in (out, *out.parents):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"--output-dir {out}: {path} is not a directory")
     return cfg
 
 
 def _read_text(path_str: str, what: str, error: type[CoauthNetError] = ConfigError) -> str:
     path = Path(path_str)
-    if not path.is_file():
+    if not path_str or not path.exists():  # Path("") is the working directory
         raise ConfigError(f"{what} not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"{what} {path} is not a file")
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -408,13 +403,10 @@ def cmd_centrality(cfg: RunConfig) -> Outputs:
 
 
 def cmd_evolve(cfg: RunConfig) -> Outputs:
-    if not cfg.slice_boundaries:
-        raise ConfigError("--slices is required for evolve")
+    check_boundaries(cfg.slice_boundaries, name="--slices")
     records = _load_corpus(cfg)
     start, end = _year_range(cfg, records)
-    if cfg.slice_boundaries[0] < start:
-        raise ConfigError(f"--slices boundary {cfg.slice_boundaries[0]} is before the start "
-                          f"year {start}")
+    check_boundaries(cfg.slice_boundaries, start, "--slices")
     reports = [slice_report(ts) for ts in cumulative_slices(records, start, cfg.slice_boundaries)]
     files = {
         "growth.csv": render_growth_csv(growth_series(records, start, end)),

@@ -14,7 +14,9 @@ class CoauthNetError(Exception):
 
 
 class ConfigError(CoauthNetError):
-    """Invalid configuration: bad flags, unresolvable paths, broken merge maps."""
+    """Invalid configuration: an argument outside its bound, from a library
+    call or a CLI flag, an unresolvable path, a broken merge map. Input data
+    that breaks a precondition is a DataError instead."""
 
 
 class DataError(CoauthNetError):

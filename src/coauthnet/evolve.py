@@ -15,7 +15,7 @@ from importlib import resources
 from typing import IO, Iterable, Sequence
 
 from ._csvtext import csv_text
-from .errors import DataError, ParseError
+from .errors import ConfigError, DataError, ParseError
 from .graph import CoauthGraph, _largest_with_distance, build_graph
 from .ingest import BiblioRecord, _lines
 
@@ -50,6 +50,19 @@ class SliceReport:
     largest_avg_distance: float
 
 
+def check_boundaries(boundaries: Sequence[int], start_year: int | None = None,
+                     name: str = "boundaries") -> None:
+    """Raise ConfigError, naming the argument ``name``, unless the boundaries are
+    given, strictly increasing and none before start_year (when given)."""
+    if not boundaries:
+        raise ConfigError(f"{name} is required for evolve")
+    if any(b2 <= b1 for b1, b2 in zip(boundaries, boundaries[1:])):
+        raise ConfigError(f"{name} must be strictly increasing, got "
+                          + ",".join(map(str, boundaries)))
+    if start_year is not None and boundaries[0] < start_year:
+        raise ConfigError(f"{name} boundary {boundaries[0]} is before the start year {start_year}")
+
+
 def cumulative_slices(
     records: Iterable[BiblioRecord],
     start_year: int,
@@ -58,16 +71,11 @@ def cumulative_slices(
     """One nested slice per boundary, each from start_year through it.
 
     Records outside [start_year, last boundary] are excluded with a logged
-    warning count. Boundaries must be non-empty, strictly increasing, and
-    all >= start_year.
+    warning count. Boundaries that ``check_boundaries`` refuses raise
+    ConfigError.
     """
     bounds = list(boundaries)
-    if not bounds:
-        raise DataError("cumulative_slices: boundaries must be non-empty")
-    if any(b < start_year for b in bounds):
-        raise DataError("cumulative_slices: every boundary must be >= start_year")
-    if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-        raise DataError("cumulative_slices: boundaries must be strictly increasing")
+    check_boundaries(bounds, start_year)
     records = list(records)
     in_range = [r for r in records if start_year <= r.year <= bounds[-1]]
     excluded = len(records) - len(in_range)
@@ -117,7 +125,7 @@ def growth_series(
     monotone non-decreasing.
     """
     if start_year > end_year:
-        raise DataError("growth_series: start_year must be <= end_year")
+        raise DataError(f"growth_series: start_year {start_year} is after end_year {end_year}")
     papers_by_year: Counter[int] = Counter()
     first_seen: dict[str, int] = {}
     for rec in records:

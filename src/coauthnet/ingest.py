@@ -18,7 +18,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Collection, Iterable, Iterator, Mapping
 
 from .errors import ConfigError, DataError, ParseError
 
@@ -197,17 +197,22 @@ def _int_field(value: str, column: str, line_no: int) -> int:
         raise ParseError(f"line {line_no}: non-integer {column} value {value.strip()!r}") from None
 
 
+def check_doc_types(doc_types: Collection[str], name: str = "allowed") -> None:
+    """Raise ConfigError, naming the argument ``name``, unless a type is given."""
+    if not doc_types:
+        raise ConfigError(f"{name} must name at least one document type")
+
+
 def filter_documents(
     records: Iterable[BiblioRecord], allowed: Iterable[str]
 ) -> list[BiblioRecord]:
     """Keep records whose doc_type matches one of the allowed tokens.
 
     Matching is a case-insensitive exact token comparison; order is
-    preserved and an empty result is legal.
+    preserved and an empty result is legal; an empty ``allowed`` is a ConfigError.
     """
     wanted = {t.strip().lower() for t in allowed}
-    if not wanted:
-        raise DataError("allowed document-type set is empty")
+    check_doc_types(wanted)
     return [r for r in records if r.doc_type.strip().lower() in wanted]
 
 

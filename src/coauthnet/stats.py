@@ -23,8 +23,8 @@ from dataclasses import astuple, dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ._csvtext import csv_text
-from .centrality import CentralityVector, ordinal_ranks
-from .errors import DataError
+from .centrality import CentralityVector, check_count, ordinal_ranks
+from .errors import ConfigError, DataError
 from .graph import CoauthGraph, connected_components
 
 __all__ = ["CorrelationReport", "Histogram", "PowerFit", "RankingProfile", "correlation_matrix",
@@ -276,19 +276,23 @@ def correlation_matrix(series: Mapping[str, Sequence[float]]) -> CorrelationRepo
 MAX_HISTOGRAM_BINS = 10_000
 
 
+def check_bins(bins: int, name: str = "bins") -> None:
+    """Raise ConfigError, naming the argument ``name``, unless 1 <= bins <= MAX_HISTOGRAM_BINS."""
+    check_count(bins, name)
+    if bins > MAX_HISTOGRAM_BINS:
+        raise ConfigError(f"{name} must be <= {MAX_HISTOGRAM_BINS}, got {bins}")
+
+
 def histogram(values: Sequence[float], bins: int) -> Histogram:
     """Equal-width histogram over [min, max].
 
     Interior bins are right-open; the last bin includes its right edge. A
     constant input collapses to a single zero-width bin holding everything.
-    Raises DataError for empty input or bins outside [1, MAX_HISTOGRAM_BINS].
+    Raises ConfigError for bins outside [1, MAX_HISTOGRAM_BINS], DataError for empty input.
     """
+    check_bins(bins)
     if not values:
         raise DataError("histogram: empty input")
-    if bins < 1:
-        raise DataError(f"histogram: bins must be >= 1, got {bins}")
-    if bins > MAX_HISTOGRAM_BINS:
-        raise DataError(f"histogram: bins must be <= {MAX_HISTOGRAM_BINS}, got {bins}")
     lo = float(min(values))
     hi = float(max(values))
     if lo == hi:

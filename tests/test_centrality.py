@@ -241,7 +241,7 @@ class TestRankTable:
         assert len(rank_table(cv, 10**20).rows) == 3
 
     def test_invalid_top_n(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             rank_table(CentralityVector("degree", {"A": 1}), 0)
 
     def test_ordinal_ranks_match_table(self):

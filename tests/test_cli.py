@@ -595,16 +595,23 @@ class TestCliPlumbing:
          "--slices boundary 1899 must lie in [1900, 2100]"),
         (("evolve", "--input", FIXTURE, "--slices", "1991,99999999999999999999"),
          "--slices boundary 99999999999999999999 must lie in [1900, 2100]"),
+        (("correlate", "--input", FIXTURE, "--output-dir", FIXTURE),
+         f"--output-dir {FIXTURE}: {FIXTURE} is not a directory"),
+        (("stats", "--input", FIXTURE, "--output-dir", f"{FIXTURE}/sub/dir"),
+         f"--output-dir {FIXTURE}/sub/dir: {FIXTURE} is not a directory"),
+        (("stats", "--input", str(DATA)), f"input file {DATA} is not a file"),
     ], ids=["--tol nan", "--tol inf", "--max-iter 0", "--top-n 0", "--histogram-bins 0",
             "--histogram-bins 10001", "--doc-types ,", "no --input", "--slices 1997,2oo7",
             "evolve --start-year -400000", "evolve --start-year 1899",
             "fit --start-year -20000", "fit --start-year 2101", "--slices 2007,1997",
             "--slices 1997,1997", "no --slices", "--slices 1899,2007",
-            "--slices 1991,99999999999999999999"])
+            "--slices 1991,99999999999999999999", "--output-dir a file",
+            "--output-dir under a file", "--input a directory"])
     def test_bad_value_exits_1_before_loading_corpus(self, tmp_path, caplog, argv, message):
         out = tmp_path / "o"
+        command, *flags = argv  # a later --output-dir in flags overrides out
         with caplog.at_level(logging.INFO):
-            assert run(*argv, "--output-dir", str(out)) == 1
+            assert run(command, "--output-dir", str(out), *flags) == 1
         assert message in caplog.text
         assert "parsed" not in caplog.text
         assert not out.exists()

@@ -8,6 +8,7 @@ import pytest
 
 from coauthnet import (
     BiblioRecord,
+    ConfigError,
     DataError,
     ParseError,
     build_graph,
@@ -73,11 +74,11 @@ class TestCumulativeSlices:
 
     def test_bad_boundaries_rejected(self):
         records = [paper("R1", 1990, "A")]
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             cumulative_slices(records, 1990, [])
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             cumulative_slices(records, 1990, [1995, 1995])
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             cumulative_slices(records, 1990, [1985])
 
 

@@ -189,7 +189,7 @@ class TestFilterDocuments:
             assert (rec in kept) == (rec.doc_type.lower() in {"article"})
 
     def test_empty_allowed_set_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             filter_documents([make_record()], set())
 
     def test_idempotent_and_commutes_with_merge(self):

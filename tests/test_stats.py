@@ -13,6 +13,7 @@ from scipy.stats import t as student_t
 
 from coauthnet import (
     CoauthGraph,
+    ConfigError,
     DataError,
     correlation_matrix,
     degree_distribution,
@@ -334,7 +335,7 @@ class TestHistogram:
     def test_rejections(self):
         with pytest.raises(DataError):
             histogram([], bins=3)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             histogram([1.0], bins=0)
 
     def test_bins_bound(self):
@@ -342,9 +343,9 @@ class TestHistogram:
         hist = histogram(values, bins=stats.MAX_HISTOGRAM_BINS)
         assert len(hist.counts) == stats.MAX_HISTOGRAM_BINS and sum(hist.counts) == len(values)
         too_many = stats.MAX_HISTOGRAM_BINS + 1
-        with pytest.raises(DataError, match=f"must be <= {stats.MAX_HISTOGRAM_BINS}, got {too_many}"):
+        with pytest.raises(ConfigError, match=f"must be <= {stats.MAX_HISTOGRAM_BINS}, got {too_many}"):
             histogram(values, bins=too_many)
-        with pytest.raises(DataError):  # checked before a constant input collapses to one bin
+        with pytest.raises(ConfigError):  # checked before a constant input collapses to one bin
             histogram([4.2] * 9, bins=too_many)
 
 
