@@ -419,17 +419,12 @@ def cmd_correlate(cfg: RunConfig) -> Outputs:
     records = _load_corpus(cfg)
     g = _restrict(cfg, build_graph(records))
     citations = author_citations(records)
-    vertices = g.vertices()
+    cited = {v: citations[v] for v in g.vertices()}  # every vertex is a record's author
     deg, clo, bet, pr = _all_centralities(cfg, g)
-    series = {
-        "citations": [float(citations.get(v, 0)) for v in vertices],
-        "closeness": [clo.scores[v] for v in vertices],
-        "betweenness": [bet.scores[v] for v in vertices],
-        "degree": [float(deg.scores[v]) for v in vertices],
-        "pagerank": [pr.scores[v] for v in vertices],
-    }
+    series = {"citations": list(cited.values())}  # each series in g.vertices() order
+    series.update((cv.measure, list(cv.scores.values())) for cv in (clo, bet, deg, pr))
     report = correlation_matrix(series)
-    profile = ranking_profile(pr, [clo, bet, deg], {v: citations.get(v, 0) for v in vertices})
+    profile = ranking_profile(pr, [clo, bet, deg], cited)
     files = {
         "correlation.csv": render_correlation_csv(report),
         "correlation_sig.csv": render_significance_csv(report),

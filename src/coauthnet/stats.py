@@ -235,8 +235,9 @@ def correlation_matrix(series: Mapping[str, Sequence[float]]) -> CorrelationRepo
     closed-form bound (``_log_p_bound``) already lies below 0.01 by a 1e-6
     margin in log space is flagged without the exact tail, so scipy loads
     only if some pair is not clearly significant; one INFO log line counts
-    the pairs that took the exact tail. Each series is ranked once. Errors
-    from an undefined pair are re-raised naming the pair.
+    the pairs that took the exact tail. Each series is ranked once, by exact
+    comparison, so ints of any size (citation counts, degrees) rank as they
+    order. Errors from an undefined pair are re-raised naming the pair.
     """
     labels = tuple(series)
     if len(labels) < 2:
@@ -288,13 +289,16 @@ def histogram(values: Sequence[float], bins: int) -> Histogram:
 
     Interior bins are right-open; the last bin includes its right edge. A
     constant input collapses to a single zero-width bin holding everything.
-    Raises ConfigError for bins outside [1, MAX_HISTOGRAM_BINS], DataError for empty input.
+    Raises ConfigError for bins outside [1, MAX_HISTOGRAM_BINS], DataError for empty input
+    or for an int past float range.
     """
     check_bins(bins)
     if not values:
         raise DataError("histogram: empty input")
-    lo = float(min(values))
-    hi = float(max(values))
+    try:
+        lo, hi = float(min(values)), float(max(values))
+    except OverflowError:
+        raise DataError("histogram: a value lies past float range") from None
     if lo == hi:
         return Histogram(bin_edges=(lo, hi), counts=(len(values),))
     edges = [lo + (hi - lo) * i / bins for i in range(bins + 1)]
@@ -317,7 +321,7 @@ def ranking_profile(
     """Ordinal ranks of every vertex under the baseline measure, the other
     measures, and citation counts, ordered by baseline rank.
 
-    All inputs must cover exactly the same vertex set.
+    All inputs must cover the same vertex set; int scores of any size rank exactly.
     """
     others = list(others)
     vertex_set = set(baseline.scores)

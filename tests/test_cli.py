@@ -266,6 +266,23 @@ class TestCorrelateCommand:
                    "--output-dir", str(out)) == 0
         assert_matches_golden(out, "correlate")
 
+    def test_counts_past_float_range_write_the_goldens(self, tmp_path):
+        # every TC times 10**400: each author's total keeps its order, and both
+        # rank statistics read only order, so the three files keep their bytes
+        lines = Path(FIXTURE).read_text(encoding="utf-8").splitlines()
+        tc = lines[0].split("\t").index("TC")
+        scaled = [lines[0]]
+        for line in lines[1:]:
+            cells = line.split("\t")
+            cells[tc] = str(int(cells[tc]) * 10**400)
+            scaled.append("\t".join(cells))
+        corpus = tmp_path / "huge.tsv"
+        corpus.write_text("\n".join(scaled) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("correlate", "--input", str(corpus), "--merge-map", MERGE_MAP,
+                   "--output-dir", str(out)) == 0
+        assert_matches_golden(out, "correlate")
+
     def test_golden_matrix_matches_pairwise_oracle(self):
         from coauthnet import (
             author_citations,

@@ -4,8 +4,9 @@ Every run ends in exit 0, 1, 2 or 3, a nonzero exit with a logged error and
 never with an uncaught exception, and a run that exits 0 writes the same
 bytes when it is run again. The texts mix valid rows with byte-order marks,
 CR-only and CRLF line ends, NULs, quotes, rows short or long by a field,
-duplicate and empty record ids, bad years and citation counts, and
-punctuation-only names; a small name pool repeats names across records.
+duplicate and empty record ids, bad years and citation counts, citation
+counts up to 10**400 (past float range), and punctuation-only names; a small
+name pool repeats names across records.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from coauthnet.cli import main
@@ -33,8 +34,12 @@ COMMANDS = {
     "fit": [],
 }
 # a row carries at most one of these; any other draw leaves it valid
-DEFECTS = ("short", "long", "no-id", "dup-id", "year", "old-year", "tc", "neg-tc", "nul", "quote",
-           "punct")
+DEFECTS = ("short", "long", "no-id", "dup-id", "year", "old-year", "tc", "neg-tc", "huge-tc", "nul",
+           "quote", "punct")
+# a path A - B - C whose citation totals lie past float range yet keep their order
+HUGE_PATH = ("UT\tAU\tPY\tDT\tTC\tSO\n"
+             f"W1\tMeho, L.I.; Yang, K\t1990\tArticle\t{10**400}\tJ\n"
+             f"W2\tYang, K; Cronin\t1991\tArticle\t{3 * 10**399}\tJ\n")
 
 
 @st.composite
@@ -68,6 +73,8 @@ def corpus_texts(draw) -> str:
             row["TC"] = "3.5"
         elif kind == "neg-tc":
             row["TC"] = "-1"
+        elif kind == "huge-tc":
+            row["TC"] = str(10 ** draw(st.integers(0, 400)))
         elif kind == "nul":
             row["SO"] = "J\x00"
         elif kind == "quote":
@@ -131,6 +138,7 @@ def run_main(argv: list[str]) -> tuple[int, list[str]]:
     merge_map=merge_map_texts(),
     command=st.sampled_from(sorted(COMMANDS)),
 )
+@example(corpus=HUGE_PATH, merge_map=None, command="correlate")
 def test_generated_inputs_exit_cleanly_and_rerun_identically(corpus, merge_map, command):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

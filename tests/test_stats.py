@@ -337,6 +337,8 @@ class TestHistogram:
             histogram([], bins=3)
         with pytest.raises(ConfigError):
             histogram([1.0], bins=0)
+        with pytest.raises(DataError, match="histogram"):
+            histogram([10**400, 1], bins=2)
 
     def test_bins_bound(self):
         values = [0.0, 1.0, 2.5]
