@@ -75,6 +75,7 @@ from .ingest import (
     YEAR_MIN,
     AuthorMergeMap,
     BiblioRecord,
+    _integer,
     apply_merge_map,
     author_citations,
     check_doc_types,
@@ -142,9 +143,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _int_arg(text: str) -> int:
+    try:
+        return _integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _comma_ints(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(map(_integer, _comma_tokens(text)))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
@@ -176,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     solver = _Parser(add_help=False)
     solver.add_argument("--damping", type=float)
     solver.add_argument("--tol", type=float)
-    solver.add_argument("--max-iter", type=int)
+    solver.add_argument("--max-iter", type=_int_arg)
 
     whole_graph = _Parser(add_help=False)
     whole_graph.add_argument(
@@ -187,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     start_year = _Parser(add_help=False)
-    start_year.add_argument("--start-year", type=int)
+    start_year.add_argument("--start-year", type=_int_arg)
 
     p_stats = sub.add_parser(
         "stats", parents=[common], help="summary statistics and graph export"
@@ -199,10 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, solver, whole_graph],
         help="centrality vectors and top-N tables",
     )
-    p_cent.add_argument("--top-n", type=int)
+    p_cent.add_argument("--top-n", type=_int_arg)
     p_cent.add_argument(
         "--histogram-bins",
-        type=int,
+        type=_int_arg,
         help="also write a score histogram per measure with this many bins",
     )
     p_cent.set_defaults(handler=cmd_centrality)

@@ -17,7 +17,7 @@ from typing import IO, Iterable, Sequence
 from ._csvtext import csv_text
 from .errors import ConfigError, DataError, ParseError
 from .graph import CoauthGraph, _largest_with_distance, build_graph
-from .ingest import BiblioRecord, _lines
+from .ingest import BiblioRecord, _integer, _lines
 
 __all__ = ["SliceReport", "TimeSlice", "cumulative_slices", "growth_series",
            "lis_growth_series", "slice_report"]
@@ -152,7 +152,8 @@ def render_growth_csv(rows: Iterable[tuple[int, int, int]]) -> str:
 
 def parse_growth_csv(stream: str | IO[str] | Iterable[str]) -> list[tuple[int, int, int]]:
     """Read a ``year,papers,authors`` CSV back into rows, one per
-    consecutive year (a fit reads row i as time i)."""
+    consecutive year (a fit reads row i as time i). Each cell is read as
+    ``parse_records`` reads PY and TC; ParseError names the line of a bad row."""
     reader = csv.reader(_lines(stream))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["year", "papers", "authors"]:
@@ -164,7 +165,7 @@ def parse_growth_csv(stream: str | IO[str] | Iterable[str]) -> list[tuple[int, i
         if len(row) != 3:
             raise ParseError(f"growth series line {line_no}: expected 3 columns")
         try:
-            year, papers, authors = map(int, row)
+            year, papers, authors = map(_integer, row)
         except ValueError:
             raise ParseError(f"growth series line {line_no}: non-integer value") from None
         if rows and year != rows[-1][0] + 1:

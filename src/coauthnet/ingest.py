@@ -36,6 +36,10 @@ DEFAULT_DOC_TYPES = ("Article", "Review")
 YEAR_MIN = 1900
 YEAR_MAX = 2100
 
+# sys.int_info.str_digits_check_threshold: the lowest digit limit that
+# PYTHONINTMAXSTRDIGITS can set, so no setting refuses a numeral read here
+MAX_DIGITS = 640
+
 
 @dataclass(frozen=True, slots=True, init=False)
 class BiblioRecord:
@@ -135,7 +139,9 @@ def parse_records(stream: str | IO[str] | Iterable[str]) -> list[BiblioRecord]:
     The first line must be a header containing the ``REQUIRED_COLUMNS`` tags
     in any order; extra columns are ignored. Author fields are split on
     semicolons with order preserved. Rows with no parseable author are
-    skipped with a warning (they cannot join a coauthorship graph).
+    skipped with a warning (they cannot join a coauthorship graph). PY and
+    TC are read by ``_integer``: at most ``MAX_DIGITS`` ASCII digits after
+    an optional ``-``.
 
     Raises ParseError for a missing header column, a row whose field count
     disagrees with the header, non-integer or out-of-range year/citation
@@ -168,10 +174,10 @@ def parse_records(stream: str | IO[str] | Iterable[str]) -> list[BiblioRecord]:
         if not authors:
             skipped_anonymous += 1
             continue
-        year = _int_field(fields[py], "PY", line_no)
+        year = _int_field(fields[py], "PY value", line_no)
         if not YEAR_MIN <= year <= YEAR_MAX:
             raise ParseError(f"line {line_no}: year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
-        times_cited = _int_field(fields[tc], "TC", line_no)
+        times_cited = _int_field(fields[tc], "TC value", line_no)
         if times_cited < 0:
             raise ParseError(f"line {line_no}: negative citation count {times_cited}")
         record_id = fields[ut].strip()
@@ -190,11 +196,24 @@ def parse_records(stream: str | IO[str] | Iterable[str]) -> list[BiblioRecord]:
     return records
 
 
-def _int_field(value: str, column: str, line_no: int) -> int:
+def _int_field(value: str, name: str, line_no: int) -> int:
     try:
-        return int(value)  # int() skips surrounding whitespace on its own
-    except ValueError:
-        raise ParseError(f"line {line_no}: non-integer {column} value {value.strip()!r}") from None
+        return _integer(value, name)
+    except ValueError as exc:
+        raise ParseError(f"line {line_no}: {exc}") from None
+
+
+def _integer(text: str, name: str = "value") -> int:
+    """The integer a numeral spells: surrounding whitespace, an optional
+    leading ``-``, then 1 to ``MAX_DIGITS`` ASCII digits. Any other text (a
+    ``+``, an ``_``, a non-ASCII digit) raises ValueError naming it ``name``."""
+    numeral = text.strip()
+    digits = numeral.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"non-integer {name} {numeral!r}")
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(f"{name} has {len(digits)} digits, more than {MAX_DIGITS}")
+    return int(numeral)
 
 
 def check_doc_types(doc_types: Collection[str], name: str = "allowed") -> None:

@@ -617,13 +617,22 @@ class TestCliPlumbing:
         (("stats", "--input", FIXTURE, "--output-dir", f"{FIXTURE}/sub/dir"),
          f"--output-dir {FIXTURE}/sub/dir: {FIXTURE} is not a directory"),
         (("stats", "--input", str(DATA)), f"input file {DATA} is not a file"),
+        (("evolve", "--input", FIXTURE, "--slices", "1_992,1997"),
+         "argument --slices: expected comma-separated integers, got '1_992,1997'"),
+        (("centrality", "--input", FIXTURE, "--top-n", "+5"),
+         "argument --top-n: non-integer value '+5'"),
+        (("evolve", "--input", FIXTURE, "--start-year", "١٩٩٩", "--slices", "2007"),
+         "argument --start-year: non-integer value '١٩٩٩'"),
+        (("centrality", "--input", FIXTURE, "--histogram-bins", "1" * 641),
+         "argument --histogram-bins: value has 641 digits, more than 640"),
     ], ids=["--tol nan", "--tol inf", "--max-iter 0", "--top-n 0", "--histogram-bins 0",
             "--histogram-bins 10001", "--doc-types ,", "no --input", "--slices 1997,2oo7",
             "evolve --start-year -400000", "evolve --start-year 1899",
             "fit --start-year -20000", "fit --start-year 2101", "--slices 2007,1997",
             "--slices 1997,1997", "no --slices", "--slices 1899,2007",
             "--slices 1991,99999999999999999999", "--output-dir a file",
-            "--output-dir under a file", "--input a directory"])
+            "--output-dir under a file", "--input a directory", "--slices 1_992,1997",
+            "--top-n +5", "--start-year Arabic-Indic", "--histogram-bins 641 digits"])
     def test_bad_value_exits_1_before_loading_corpus(self, tmp_path, caplog, argv, message):
         out = tmp_path / "o"
         command, *flags = argv  # a later --output-dir in flags overrides out

@@ -5,8 +5,10 @@ never with an uncaught exception, and a run that exits 0 writes the same
 bytes when it is run again. The texts mix valid rows with byte-order marks,
 CR-only and CRLF line ends, NULs, quotes, rows short or long by a field,
 duplicate and empty record ids, bad years and citation counts, citation
-counts up to 10**400 (past float range), and punctuation-only names; a small
-name pool repeats names across records.
+counts up to 10**400 (past float range) and of 641 to 700 digits (past what
+the reader takes), years and counts with a sign, an underscore or non-ASCII
+digits, and punctuation-only names; a small name pool repeats names across
+records.
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ COMMANDS = {
 }
 # a row carries at most one of these; any other draw leaves it valid
 DEFECTS = ("short", "long", "no-id", "dup-id", "year", "old-year", "tc", "neg-tc", "huge-tc", "nul",
-           "quote", "punct")
+           "quote", "punct", "odd-digits", "long-tc")
+# int() reads each of these as an integer; the corpus reader refuses them
+ODD_DIGITS = {"sign": lambda v: "+" + v, "underscore": lambda v: "0_" + v,
+              "arabic-indic": lambda v: v.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))}
 # a path A - B - C whose citation totals lie past float range yet keep their order
 HUGE_PATH = ("UT\tAU\tPY\tDT\tTC\tSO\n"
              f"W1\tMeho, L.I.; Yang, K\t1990\tArticle\t{10**400}\tJ\n"
@@ -75,6 +80,11 @@ def corpus_texts(draw) -> str:
             row["TC"] = "-1"
         elif kind == "huge-tc":
             row["TC"] = str(10 ** draw(st.integers(0, 400)))
+        elif kind == "odd-digits":
+            column = draw(st.sampled_from(["PY", "TC"]))
+            row[column] = ODD_DIGITS[draw(st.sampled_from(sorted(ODD_DIGITS)))](row[column])
+        elif kind == "long-tc":
+            row["TC"] = str(10 ** draw(st.integers(640, 699)))  # 641 to 700 digits
         elif kind == "nul":
             row["SO"] = "J\x00"
         elif kind == "quote":

@@ -187,6 +187,14 @@ class TestSerialization:
         with pytest.raises(ParseError, match=message):
             parse_growth_csv(text)
 
+    def test_growth_csv_takes_only_ascii_digits(self):
+        text = "year,papers,authors\n 1990 ,01, 2\n1991,003,4 \n"
+        assert parse_growth_csv(text) == [(1990, 1, 2), (1991, 3, 4)]
+        for cell in ("1_990", "+3", "٣"):
+            with pytest.raises(ParseError) as excinfo:
+                parse_growth_csv(f"year,papers,authors\n1990,1,2\n1991,{cell},4\n")
+            assert str(excinfo.value) == "growth series line 3: non-integer value"
+
     def test_slice_csv_header(self):
         records = [paper("R1", 1990, "A", "B")]
         (ts,) = cumulative_slices(records, 1990, [1990])

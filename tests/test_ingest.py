@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import io
 import logging
+import os
 import pickle
+import subprocess
+import sys
 import time
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -34,6 +37,7 @@ from oracles import (
     serialize_records,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 HEADER = "UT\tAU\tPY\tDT\tTC\tSO"
 
 
@@ -141,6 +145,46 @@ class TestParseRecords:
         assert parse_records(HEADER + "\nW1\tA, X\t 1990 \tArticle\t 4\tJ\n")[0].year == 1990
         with pytest.raises(ParseError, match="line 2: non-integer TC value '4 x'$"):
             parse_records(HEADER + "\nW1\tA, X\t1990\tArticle\t 4 x \tJ\n")
+
+    def test_integer_fields_take_only_ascii_digits(self):
+        def row(py: str, tc: str) -> str:
+            return f"{HEADER}\nW1\tA, X\t{py}\tArticle\t{tc}\tJ\n"
+
+        (rec,) = parse_records(row(" 01999 ", " 007"))
+        assert (rec.year, rec.times_cited) == (1999, 7)
+        with pytest.raises(ParseError, match="^line 2: negative citation count -1$"):
+            parse_records(row("1999", "-1"))
+        for column, value in [("PY", "+1_999"), ("PY", "1_999"), ("PY", "١٩٩٩"),
+                              ("TC", "٣"), ("TC", "+3")]:
+            cells = {"PY": "1999", "TC": "3", column: value}
+            with pytest.raises(ParseError) as excinfo:
+                parse_records(row(cells["PY"], cells["TC"]))
+            assert str(excinfo.value) == f"line 2: non-integer {column} value {value!r}"
+
+    def test_overlong_count_is_named_by_its_digit_count(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_records(HEADER + "\nW1\tA, X\t1999\tArticle\t" + "9" * 5000 + "\tJ\n")
+        message = str(excinfo.value)
+        assert message == "line 2: TC value has 5000 digits, more than 640"
+        assert len(message) < 100
+
+    def test_count_of_641_digits_is_refused_whatever_the_interpreter_digit_limit(self):
+        program = ("from coauthnet import ParseError, parse_records\n"
+                   "row = 'UT\\tAU\\tPY\\tDT\\tTC\\tSO\\nW1\\tA, X\\t1999\\tArticle\\t'"
+                   " + '1' * 641 + '\\tJ\\n'\n"
+                   "try:\n    parse_records(row)\nexcept ParseError as exc:\n    print(exc)\n"
+                   "else:\n    print('parsed')\n")
+        outputs = []
+        for limit in (None, "0", "640"):
+            env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+            if limit is not None:
+                env["PYTHONINTMAXSTRDIGITS"] = limit
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            done = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True,
+                                  text=True)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs == ["line 2: TC value has 641 digits, more than 640\n"] * 3
 
     def test_duplicate_record_id(self):
         text = "\n".join(

@@ -5,7 +5,9 @@ How a kernel reads a graph (``csr_view``) and the exact per-source loop that
 the dependency kernel reproduces and falls back to (``_source_dependencies``)
 belong to ``_numeric``: its entries take the graph itself, so no other package
 module names either. A leading byte order mark is dropped in one place,
-``ingest._lines``, which every parser reads its input through. Each bound on
+``ingest._lines``, which every parser reads its input through. What an
+integer numeral is, ``ingest._integer`` alone decides: every reader of an
+integer from input text calls it in place of ``int()``. Each bound on
 an argument is checked by one function in the module that uses the argument;
 the CLI and the library call the same one, so a bad argument raises
 ConfigError naming it, whoever passes it."""
@@ -77,6 +79,43 @@ def test_only_the_line_reader_drops_a_byte_order_mark():
                              for spelling in BOM_SPELLINGS) for path in MODULES}
     assert {name: count for name, count in counts.items() if count} == {"ingest.py": 1}
     assert any(spelling in inspect.getsource(ingest._lines) for spelling in BOM_SPELLINGS)
+
+
+# the modules that turn input text into integers
+INT_READERS = ("ingest.py", "evolve.py", "cli.py")
+
+
+def int_sites(source: str) -> list[str]:
+    """The enclosing function of each place the source names ``int`` outside an
+    annotation ("" at module level)."""
+    tree = ast.parse(source)
+    annotations = set()
+    for node in ast.walk(tree):
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if annotation is not None:
+                annotations.update(map(id, ast.walk(annotation)))
+    sites = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == "int" and id(child) not in annotations:
+                sites.append(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(tree, "")
+    return sites
+
+
+def test_int_counter_sees_a_call_a_map_argument_and_a_type_keyword():
+    source = ("def f(x: int, xs: list[int]) -> tuple[int, ...]:\n"
+              "    y: int = int(x)\n    return (y, *map(int, xs))\n"
+              "parser.add_argument('--n', type=int)\n")
+    assert int_sites(source) == ["f", "f", ""]
+
+
+def test_only_the_integer_reader_calls_int():
+    sites = {name: int_sites((PACKAGE / name).read_text(encoding="utf-8")) for name in INT_READERS}
+    assert sites == {"ingest.py": ["_integer"], "evolve.py": [], "cli.py": []}
 
 
 # one message stem per bound; ">= 1" serves every count argument
